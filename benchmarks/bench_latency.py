@@ -9,12 +9,12 @@ Three arms:
    LLM, so the numbers isolate the serving stack (socket handling, routing,
    micro-batching, cache) from model latency.  Emits p50/p95/p99 and
    throughput per concurrency level.
-2. **Identity oracle** — two fresh, identically-seeded services, one behind
-   the threaded front end and one behind the asyncio front end, are driven
-   through the same sequential workload (a live pass and a cached pass).
-   Every response body must be byte-identical across the two transports —
-   both delegate to the shared ``ServiceRouter``, and this arm proves it at
-   the wire level.  Asserted, and timing-independent.
+2. **Identity oracle** — one service behind the asyncio front end is driven
+   through a sequential workload (a live pass and a cached pass).  Each
+   response body read off the socket must be byte-identical to
+   ``ServiceRouter(service).handle`` called in-process for the same request:
+   the transport must put the router's decision on the wire unaltered.
+   Asserted, and timing-independent.
 3. **Fairness oracle** — two tenants with equal quotas on a virtual clock:
    a greedy tenant hammers admission far past its rate while a respectful
    tenant submits exactly at its quota.  The respectful tenant must never be
@@ -48,7 +48,7 @@ from repro.data.registry import load_dataset
 from repro.engines.faults import FakeClock
 from repro.service.aio import AsyncServiceHTTPServer
 from repro.service.config import ServiceConfig
-from repro.service.http import ServiceHTTPServer
+from repro.service.http import ServiceRouter
 from repro.service.service import ResolutionService
 from repro.service.tenants import (
     TenantConfig,
@@ -65,7 +65,7 @@ SMALL_LEVELS = (1, 4)
 DEFAULT_REQUESTS_PER_USER = 25
 SMALL_REQUESTS_PER_USER = 5
 
-#: Pairs driven through each front end by the identity arm.
+#: Pairs driven through the front end by the identity arm.
 DEFAULT_IDENTITY_PAIRS = 24
 SMALL_IDENTITY_PAIRS = 8
 
@@ -185,54 +185,47 @@ def load_arm(
 
 
 def identity_arm(num_pairs: int) -> dict[str, object]:
-    """Arm 2: the two front ends must answer with byte-identical bodies."""
+    """Arm 2: wire bodies must match the router called in-process."""
     dataset = load_dataset("beer", seed=7)
     pairs = [pair.without_label() for pair in dataset.splits.test][:num_pairs]
-
-    def drive(frontend: str) -> list[bytes]:
-        service = _build_service().start()
-        if frontend == "async":
-            server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
-        else:
-            server = ServiceHTTPServer(service, port=0).serve_in_background()
-        try:
-            bodies = []
-            # Live pass then cached pass: both code paths must agree too.
-            for _ in range(2):
-                for index, pair in enumerate(pairs):
-                    payload = json.dumps(
-                        {
-                            "pairs": [
-                                {
-                                    "pair_id": f"id-{index}",
-                                    "left": dict(pair.left.values),
-                                    "right": dict(pair.right.values),
-                                }
-                            ]
-                        }
-                    ).encode("utf-8")
-                    bodies.append(_post(server.address, payload))
-            return bodies
-        finally:
-            server.shutdown()
-            if frontend == "threaded":
-                server.server_close()
-            service.stop()
-
-    threaded_bodies = drive("threaded")
-    async_bodies = drive("async")
-    identical = threaded_bodies == async_bodies
-    if not identical:
-        mismatches = sum(
-            1 for a, b in zip(threaded_bodies, async_bodies) if a != b
-        )
+    service = _build_service().start()
+    router = ServiceRouter(service)
+    server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
+    compared = mismatches = 0
+    try:
+        # Live pass then cached pass: both code paths must agree.  On the
+        # live pass the wire request resolves the pair and the in-process
+        # call right after it is served the same answer from the cache.
+        for _ in range(2):
+            for index, pair in enumerate(pairs):
+                payload = json.dumps(
+                    {
+                        "pairs": [
+                            {
+                                "pair_id": f"id-{index}",
+                                "left": dict(pair.left.values),
+                                "right": dict(pair.right.values),
+                            }
+                        ]
+                    }
+                ).encode("utf-8")
+                wire = _post(server.address, payload)
+                reference = router.handle("POST", "/resolve", {}, payload)
+                compared += 1
+                if reference.status != 200 or wire != reference.body:
+                    mismatches += 1
+    finally:
+        server.shutdown()
+        service.stop()
+    if mismatches:
         raise AssertionError(
-            f"front ends disagree on {mismatches}/{len(threaded_bodies)} bodies"
+            f"wire bodies differ from the in-process router on "
+            f"{mismatches}/{compared} requests"
         )
     return {
         "pairs": num_pairs,
-        "responses_compared": len(threaded_bodies),
-        "byte_identical": identical,
+        "responses_compared": compared,
+        "wire_matches_router": True,
     }
 
 
@@ -323,14 +316,14 @@ def run_bench(
     arms["fairness"] = fairness_arm()
     arms["load"] = [] if oracles_only else load_arm(levels, requests_per_user)
     headline: dict[str, object] = {
-        "identity_byte_identical": arms["identity"]["byte_identical"],
+        "identity_wire_matches_router": arms["identity"]["wire_matches_router"],
         "fairness_respectful_unstarved": arms["fairness"]["respectful_unstarved"],
     }
     for level in arms["load"]:
         headline[f"p99_ms_c{level['concurrency']}"] = level["p99_ms"]
     return {
         "benchmark": "serving-latency",
-        "frontend": "asyncio (threaded as identity oracle)",
+        "frontend": "asyncio (in-process ServiceRouter as identity reference)",
         "engine": "simulated LLM (virtual cost)",
         "arms": arms,
         "headline": headline,

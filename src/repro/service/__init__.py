@@ -19,21 +19,27 @@ Layers:
 * :class:`RequestQueue` / :class:`MicroBatcher` — bounded admission with
   backpressure, and size-or-deadline flushing.
 * :class:`ResolutionService` — the facade: cache lookup, in-flight
-  deduplication, cost-aware admission (:class:`CostBudgetExceeded` once the
-  session budget is spent), ``submit`` / ``resolve_many`` / ``stats``, and
-  the engine-backed ``resolve_bulk`` path that shards large submissions
-  deterministically past the micro-batch queue (counters under
-  ``stats().engine``).
+  deduplication, one ordered admission chain shared by both submission
+  paths (degraded mode, tenant budget, then the session budget —
+  :class:`CostBudgetExceeded` once it is spent), ``submit`` /
+  ``resolve_many`` / ``stats``, and the engine-backed ``resolve_bulk`` path
+  that shards large submissions deterministically past the micro-batch
+  queue (counters under ``stats().engine``).
 * :mod:`repro.service.tenants` — multi-tenant admission: API keys
   (``X-API-Key``) resolving to per-tenant requests-per-second quotas
   (non-debiting token-bucket rejection → 429 + ``Retry-After``) and cost
   budgets (attributed flush costs; exhausted tenants degrade to cache hits).
-* :mod:`repro.service.http` / :mod:`repro.service.aio` — two stdlib HTTP
-  JSON front ends (``POST /resolve``, ``POST /bulk``, ``GET /stats``,
-  ``GET /healthz``; every GET route answers HEAD) sharing one
-  transport-agnostic ``ServiceRouter``, so the threaded and asyncio servers
-  answer byte-identically; exposed via the ``repro-serve`` console script
-  (:mod:`repro.service.cli`, ``--frontend async|threaded``).
+* :mod:`repro.service.http` — the transport-agnostic ``ServiceRouter``
+  (``POST /resolve``, ``POST /bulk``, ``GET /stats``, ``GET /metrics``,
+  ``GET /healthz``, ``GET /readyz``; every GET route answers HEAD) and its
+  JSON payload parsers.
+* :mod:`repro.service.aio` — the one HTTP/1.1 front end, an asyncio server
+  that frames requests and hands them to the router; exposed via the
+  ``repro-serve`` console script (:mod:`repro.service.cli`).
+
+Counters: the service's own counters (submissions, joins, rejections, bulk
+work) live only in its :class:`~repro.observability.metrics.MetricsRegistry`;
+``stats()`` (``GET /stats``) and ``GET /metrics`` both read them from there.
 """
 
 from repro.service.cache import CachedResult, ResultCache, pair_fingerprint

@@ -1,11 +1,10 @@
 """Asyncio HTTP front end for a :class:`ResolutionService`.
 
-:class:`AsyncServiceHTTPServer` serves the same routes as the threaded
-:class:`~repro.service.http.ServiceHTTPServer` — both delegate every parsed
-request to the shared, transport-agnostic
-:class:`~repro.service.http.ServiceRouter`, so the two front ends return
-byte-identical response bodies for the same request.  What differs is the
-transport discipline:
+:class:`AsyncServiceHTTPServer` is the service's one HTTP front end.  It
+owns the sockets and the HTTP/1.1 framing and hands every parsed request to
+the transport-agnostic :class:`~repro.service.http.ServiceRouter`, which
+decides the response; the body the router returns goes on the wire
+unaltered.  The transport discipline:
 
 * **one event loop, no thread per connection** — connections are coroutine
   tasks on an :func:`asyncio.start_server` loop, so thousands of idle
@@ -16,6 +15,10 @@ transport discipline:
 * **per-request read deadlines** — the request line, each header line and the
   body are all read under :func:`asyncio.wait_for` timeouts; a slowloris
   client that stalls mid-body is answered 408 and disconnected;
+* **unambiguous framing** — bodies are framed by ``Content-Length`` only; a
+  request carrying ``Transfer-Encoding`` or differing ``Content-Length``
+  values is refused with 400 and a closed connection (RFC 9112 §6.1/§6.3),
+  so no two parsers can disagree on where the next request starts;
 * **graceful drain** — :meth:`shutdown` stops accepting, cancels idle
   keep-alive connections immediately, and gives in-flight requests
   ``drain_timeout`` seconds to finish before cancelling them.
@@ -23,13 +26,13 @@ transport discipline:
 The service core itself (micro-batcher, cache, breaker, tenant admission) is
 synchronous and stays untouched: routed requests are dispatched to it through
 ``loop.run_in_executor`` on a private thread pool, keeping the event loop
-free to multiplex sockets while the resolution work runs on threads exactly
-as it does behind the threaded front end.
+free to multiplex sockets while the resolution work runs on threads.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
@@ -68,7 +71,7 @@ class AsyncServiceHTTPServer:
 
     The event loop runs on a dedicated daemon thread
     (:meth:`serve_in_background`), so the server embeds in synchronous
-    programs and tests exactly like the threaded front end.
+    programs and tests.
 
     Args:
         service: the (started) service answering the requests.
@@ -269,9 +272,7 @@ class AsyncServiceHTTPServer:
             except (asyncio.TimeoutError, TimeoutError):
                 return  # idle keep-alive connection expired
             except ValueError:
-                await self._write_result(
-                    writer, _error_result(400, "request line too long"), False, True
-                )
+                await self._refuse(writer, 400, "request line too long")
                 return
             if not request_line:
                 return  # client closed the connection
@@ -280,12 +281,7 @@ class AsyncServiceHTTPServer:
                 continue  # tolerate stray CRLF between pipelined requests
             parts = line.split()
             if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-                await self._write_result(
-                    writer,
-                    _error_result(400, f"malformed request line {line!r}"),
-                    False,
-                    True,
-                )
+                await self._refuse(writer, 400, f"malformed request line {line!r}")
                 return
             method, path, version = parts
 
@@ -306,6 +302,15 @@ class AsyncServiceHTTPServer:
     async def _read_headers(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> dict[str, str] | None:
+        """Read one header block; ``None`` once an error has been answered.
+
+        A request whose body length is ambiguous is refused rather than
+        guessed at: ``Transfer-Encoding`` (bodies are framed by
+        ``Content-Length`` only) and ``Content-Length`` headers with
+        differing values both get 400 + close, per RFC 9112 §6.1/§6.3.
+        Reading such a request last-wins would let a proxy and this server
+        disagree on where the next request starts.
+        """
         headers: dict[str, str] = {}
         try:
             while True:
@@ -314,34 +319,27 @@ class AsyncServiceHTTPServer:
                     return headers
                 text = raw.decode("latin-1").rstrip("\r\n")
                 name, sep, value = text.partition(":")
-                if not sep or not name.strip():
-                    await self._write_result(
-                        writer,
-                        _error_result(400, f"malformed header line {text!r}"),
-                        False,
-                        True,
-                    )
-                    return None
-                headers[name.strip().lower()] = value.strip()
-                if len(headers) > 128:
-                    await self._write_result(
-                        writer, _error_result(400, "too many headers"), False, True
-                    )
-                    return None
+                name, value = name.strip().lower(), value.strip()
+                if not sep or not name:
+                    problem = f"malformed header line {text!r}"
+                elif name == "transfer-encoding":
+                    problem = "Transfer-Encoding is not supported; send Content-Length"
+                elif name == "content-length" and headers.get(name, value) != value:
+                    problem = "conflicting Content-Length headers"
+                else:
+                    headers[name] = value
+                    if len(headers) <= 128:
+                        continue
+                    problem = "too many headers"
+                await self._refuse(writer, 400, problem)
+                return None
         except (asyncio.TimeoutError, TimeoutError):
-            await self._write_result(
-                writer,
-                _error_result(
-                    408, f"request headers stalled for {self.read_timeout:g}s"
-                ),
-                False,
-                True,
+            await self._refuse(
+                writer, 408, f"request headers stalled for {self.read_timeout:g}s"
             )
             return None
         except ValueError:
-            await self._write_result(
-                writer, _error_result(400, "header line too long"), False, True
-            )
+            await self._refuse(writer, 400, "header line too long")
             return None
 
     async def _serve_request(
@@ -358,12 +356,10 @@ class AsyncServiceHTTPServer:
         head_only = method == "HEAD"
         if method == "POST":
             result = await self._route_post(path, headers, reader, loop)
-        elif method in ("GET", "HEAD"):
+        else:  # the router answers GET/HEAD, and 501 for anything else
             result = await loop.run_in_executor(
                 self._executor, self.router.handle, method, path, headers, None
             )
-        else:
-            result = _error_result(501, f"unsupported method {method!r}")
         # HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close; the client's
         # Connection header and error paths (result.close) override.
         connection = headers.get("connection", "").lower()
@@ -375,8 +371,6 @@ class AsyncServiceHTTPServer:
             close = True
         self.requests_served += 1
         if self.verbose:  # pragma: no cover - log plumbing
-            import sys
-
             print(
                 f"repro-aio: {method} {path} -> {result.status}", file=sys.stderr
             )
@@ -410,6 +404,12 @@ class AsyncServiceHTTPServer:
         return await loop.run_in_executor(
             self._executor, self.router.handle, "POST", path, headers, raw
         )
+
+    async def _refuse(
+        self, writer: asyncio.StreamWriter, status: int, message: str
+    ) -> None:
+        """Answer a request the parser cannot route, closing the connection."""
+        await self._write_result(writer, _error_result(status, message), False, True)
 
     async def _write_result(
         self,

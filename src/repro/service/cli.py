@@ -27,6 +27,7 @@ from repro.core.config import BatcherConfig
 from repro.data.registry import available_datasets, load_dataset
 from repro.observability.tracing import Tracer
 from repro.resilience import BreakerConfig
+from repro.service.aio import AsyncServiceHTTPServer
 from repro.service.config import ServiceConfig
 from repro.service.service import ResolutionService
 from repro.service.tenants import TenantConfig
@@ -59,34 +60,27 @@ def _family_total(text: str, name: str) -> float:
     return total
 
 
-def _fetch_metrics(service: ResolutionService) -> tuple[str, str]:
-    """Serve the service over HTTP on a free port and GET ``/metrics``."""
+def _fetch_metrics(base: str) -> tuple[str, str]:
+    """GET ``/metrics`` from the front end serving at ``base``."""
     from urllib.request import urlopen
 
-    from repro.service.http import ServiceHTTPServer
-
-    server = ServiceHTTPServer(service, port=0).serve_in_background()
-    try:
-        with urlopen(f"{server.address}/metrics", timeout=10.0) as response:
-            content_type = response.headers.get("Content-Type", "")
-            text = response.read().decode("utf-8")
-    finally:
-        server.shutdown()
-        server.server_close()
-    return text, content_type
+    with urlopen(f"{base}/metrics", timeout=10.0) as response:
+        content_type = response.headers.get("Content-Type", "")
+        return response.read().decode("utf-8"), content_type
 
 
-def _frontend_checks(service: ResolutionService) -> dict[str, bool]:
-    """Serve ``service`` on both front ends and compare their behavior.
+def _frontend_checks(service: ResolutionService, base: str) -> dict[str, bool]:
+    """Check the wire of the front end serving ``service`` at ``base``.
 
-    Returns check outcomes: the async front end must answer a warmed (cached)
-    ``POST /resolve`` with a byte-identical body to the threaded one, and both
-    must answer ``HEAD /healthz`` with 200 and no body.
+    Returns check outcomes: each ``POST /resolve`` answered over the socket
+    (a live pass, then a cached pass) must carry a body byte-identical to
+    ``ServiceRouter(service).handle`` called in-process for the same request
+    — the transport must not alter what the router decided — and
+    ``HEAD /healthz`` must answer 200 with no body.
     """
     from urllib.request import Request, urlopen
 
-    from repro.service.aio import AsyncServiceHTTPServer
-    from repro.service.http import ServiceHTTPServer
+    from repro.service.http import ServiceRouter
 
     payload = json.dumps(
         {
@@ -99,38 +93,21 @@ def _frontend_checks(service: ResolutionService) -> dict[str, bool]:
             ]
         }
     ).encode("utf-8")
-
-    def post(base: str) -> bytes:
+    router = ServiceRouter(service)
+    matches = []
+    for _ in range(2):  # live pass, then cached pass
         request = Request(
             f"{base}/resolve", data=payload, headers={"Content-Type": "application/json"}
         )
         with urlopen(request, timeout=30.0) as response:
-            return response.read()
-
-    def head(base: str) -> tuple[int, bytes]:
-        request = Request(f"{base}/healthz", method="HEAD")
-        with urlopen(request, timeout=10.0) as response:
-            return response.status, response.read()
-
-    threaded = ServiceHTTPServer(service, port=0).serve_in_background()
-    aio = AsyncServiceHTTPServer(service, port=0).serve_in_background()
-    try:
-        post(threaded.address)  # warm the cache: comparisons below are hits
-        threaded_body = post(threaded.address)
-        async_body = post(aio.address)
-        threaded_head = head(threaded.address)
-        async_head = head(aio.address)
-    finally:
-        aio.shutdown()
-        threaded.shutdown()
-        threaded.server_close()
+            wire = response.read()
+        reference = router.handle("POST", "/resolve", {}, payload)
+        matches.append(reference.status == 200 and wire == reference.body)
+    with urlopen(Request(f"{base}/healthz", method="HEAD"), timeout=10.0) as response:
+        head = (response.status, response.read())
     return {
-        "async_frontend_byte_identical_to_threaded": (
-            bool(threaded_body) and threaded_body == async_body
-        ),
-        "head_answered_on_both_frontends": (
-            threaded_head == (200, b"") and async_head == (200, b"")
-        ),
+        "wire_body_matches_router": all(matches),
+        "head_answered": head == (200, b""),
     }
 
 
@@ -299,8 +276,14 @@ def run_self_test(
         # Phase 2: the same unique set again — must be pure cache hits.
         service.resolve_many(unique)
         repeat = service.stats().to_dict()
-        metrics_text, metrics_content_type = _fetch_metrics(service)
-        frontend_checks = _frontend_checks(service) if tracer is not None else {}
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
+        try:
+            metrics_text, metrics_content_type = _fetch_metrics(server.address)
+            frontend_checks = (
+                _frontend_checks(service, server.address) if tracer is not None else {}
+            )
+        finally:
+            server.shutdown()
         service.stop()
         return labels, {
             "first_pass": first_pass,
@@ -393,9 +376,9 @@ def run_self_test(
             "repro_service_requests_total" in metrics_text
         ),
     }
-    # The asyncio front end must be indistinguishable from the threaded one
-    # (byte-identical bodies) and the tenant layer must enforce quota/budget/
-    # auth deterministically — both checked on the pass-1 service above.
+    # The front end must put the router's bodies on the wire unaltered and
+    # the tenant layer must enforce quota/budget/auth deterministically —
+    # both checked on the pass-1 service above.
     checks.update(report.pop("frontend_checks"))
     checks.update(_tenant_checks())
     report.update(
@@ -449,15 +432,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--cost-budget", type=float, default=None, help="session budget in dollars"
     )
     parser.add_argument(
-        "--frontend",
-        choices=("async", "threaded"),
-        default="async",
-        help=(
-            "HTTP front end: the asyncio server (default) or the threaded "
-            "stdlib server kept as a behavioral oracle"
-        ),
-    )
-    parser.add_argument(
         "--tenant",
         action="append",
         type=parse_tenant,
@@ -494,21 +468,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if report["ok"] else 1
 
     service = build_service(args).start()
-    if args.frontend == "threaded":
-        from repro.service.http import ServiceHTTPServer
-
-        server = ServiceHTTPServer(
-            service, host=args.host, port=args.port, verbose=True
-        )
-    else:
-        from repro.service.aio import AsyncServiceHTTPServer
-
-        server = AsyncServiceHTTPServer(
-            service, host=args.host, port=args.port, verbose=True
-        ).serve_in_background()
-    print(
-        f"repro-serve ({args.frontend}) listening on {server.address}", flush=True
-    )
+    server = AsyncServiceHTTPServer(
+        service, host=args.host, port=args.port, verbose=True
+    ).serve_in_background()
+    print(f"repro-serve listening on {server.address}", flush=True)
     print(
         "try:  curl -s -X POST "
         f"{server.address}/resolve -d '"
@@ -520,10 +483,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         pass
     finally:
-        if args.frontend == "threaded":
-            server.server_close()
-        else:
-            server.shutdown()
+        server.shutdown()
         service.stop()
     return 0
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import ContextManager, Iterable, Sequence
 
 from repro.cost.tracker import CostBreakdown
@@ -34,7 +34,7 @@ from repro.engines.base import Engine as EngineBackend
 from repro.engines.transport import Clock, RetryingTransport
 from repro.features.engine import FeatureStoreStats
 from repro.llm.executors import ConcurrentExecutor, ExecutionBackend, SerialExecutor
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Counter, MetricsRegistry
 from repro.observability.tracing import NOOP_TRACER, Tracer
 from repro.pipeline.resolver import Resolution, Resolver
 from repro.resilience import (
@@ -95,13 +95,7 @@ class EngineStats:
 
     def to_dict(self) -> dict[str, int]:
         """Return a plain-dict snapshot (JSON-serializable, for ``/stats``)."""
-        return {
-            "bulk_requests": self.bulk_requests,
-            "bulk_pairs": self.bulk_pairs,
-            "shards_resolved": self.shards_resolved,
-            "pairs_from_cache": self.pairs_from_cache,
-            "pairs_resolved": self.pairs_resolved,
-        }
+        return asdict(self)
 
 
 class CostBudgetExceeded(AdmissionError):
@@ -196,34 +190,20 @@ class ServiceStats:
         return self.cache_hits / total if total else 0.0
 
     def to_dict(self) -> dict[str, object]:
-        """Return a plain-dict snapshot (JSON-serializable, for ``/stats``)."""
-        return {
-            "submitted": self.submitted,
-            "resolved": self.resolved,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_size": self.cache_size,
-            "cache_hit_rate": self.cache_hit_rate,
-            "inflight_joined": self.inflight_joined,
-            "rejected_overload": self.rejected_overload,
-            "rejected_budget": self.rejected_budget,
-            "rejected_degraded": self.rejected_degraded,
-            "queue_depth": self.queue_depth,
-            "flushes": self.flushes,
-            "llm_calls": self.llm_calls,
-            "pool_size": self.pool_size,
-            "num_labeled": self.num_labeled,
-            "cost": self.cost.to_dict(),
-            "engine": self.engine.to_dict(),
-            "llm_engine": self.llm_engine,
-            "feature_store": (
-                self.feature_store.to_dict() if self.feature_store is not None else None
-            ),
-            "uptime_seconds": self.uptime_seconds,
-            "throughput_pairs_per_second": self.throughput_pairs_per_second,
-            "breaker": self.breaker,
-            "tenants": self.tenants,
-        }
+        """Return a plain-dict snapshot (JSON-serializable, for ``/stats``).
+
+        Fields keep their declaration order, nested snapshots render through
+        their own ``to_dict``, and ``cache_hit_rate`` follows ``cache_size``.
+        """
+        payload: dict[str, object] = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if hasattr(value, "to_dict"):
+                value = value.to_dict()
+            payload[field.name] = value
+            if field.name == "cache_size":
+                payload["cache_hit_rate"] = self.cache_hit_rate
+        return payload
 
 
 class ResolutionService:
@@ -304,17 +284,6 @@ class ResolutionService:
         # Serializes session access between the micro-batch consumer thread
         # and bulk callers — the Resolver is a shared, stateful session.
         self._resolver_lock = threading.Lock()
-        self._submitted = 0
-        self._resolved = 0
-        self._inflight_joined = 0
-        self._rejected_overload = 0
-        self._rejected_budget = 0
-        self._rejected_degraded = 0
-        self._bulk_requests = 0
-        self._bulk_pairs = 0
-        self._bulk_shards = 0
-        self._bulk_cached = 0
-        self._bulk_resolved = 0
         self._started_at: float | None = None
         self._stopped = False
         # Multi-tenant admission: API keys → quota buckets + cost budgets.
@@ -345,19 +314,35 @@ class ResolutionService:
     def _register_metrics(self) -> None:
         """Wire the metric families to the service's live state.
 
-        Live event streams (flush reasons, LLM call latency) are recorded as
-        they happen; everything that already has an authoritative counter
-        (cache stats, queue depth, transport totals, feature-store hit rate)
-        is bridged with scrape-time callbacks instead of double-keeping.
+        The service's own events (submissions, joins, rejections, bulk work,
+        flush reasons, LLM call latency) are recorded into the registry as
+        they happen, and :meth:`stats` reads them back; state another
+        component already counts (cache stats, queue depth, transport totals,
+        feature-store hit rate) is bridged with scrape-time callbacks instead
+        of double-keeping.
         """
         metrics = self.metrics
-        self._metric_flushes = metrics.counter(
+
+        def event_counter(
+            name: str, help: str, label: str | None = None, values: tuple[str, ...] = ()
+        ) -> Counter:
+            # Seeded at zero, so /metrics and the /stats metrics dump carry
+            # every sample before its first event.
+            if label is None:
+                counter = metrics.counter(name, help)
+                counter.inc(0)
+            else:
+                counter = metrics.counter(name, help, labels=(label,))
+                for value in values:
+                    counter.inc(0, **{label: value})
+            return counter
+
+        self._metric_flushes = event_counter(
             "repro_service_flushes_total",
             "Micro-batch flushes by trigger reason.",
-            labels=("reason",),
+            "reason",
+            ("size", "deadline", "close"),
         )
-        for reason in ("size", "deadline", "close"):
-            self._metric_flushes.inc(0, reason=reason)
         self._metric_flush_seconds = metrics.histogram(
             "repro_service_flush_seconds", "Micro-batch flush latency."
         )
@@ -417,11 +402,7 @@ class ResolutionService:
         ).set_function(lambda: len(cache))
         metrics.gauge(
             "repro_cache_hit_rate", "Fraction of result-cache lookups served."
-        ).set_function(
-            lambda: cache.hits / (cache.hits + cache.misses)
-            if (cache.hits + cache.misses)
-            else 0.0
-        )
+        ).set_function(lambda: cache.hit_rate)
         metrics.gauge(
             "repro_feature_store_hit_rate",
             "Fraction of feature-vector lookups served from the store.",
@@ -454,24 +435,40 @@ class ResolutionService:
         metrics.gauge(
             "repro_queue_depth", "Requests waiting in the micro-batch queue."
         ).set_function(lambda: len(self._queue))
-        metrics.counter(
+
+        # The service's own event counters live only here: they are
+        # incremented where the event happens and stats() reads them back.
+        self._metric_submitted = event_counter(
             "repro_service_submitted_total", "Requests accepted by submit()."
-        ).set_function(lambda: self._submitted)
-        metrics.counter(
+        )
+        self._metric_resolved = event_counter(
             "repro_service_resolved_total", "Futures completed with a resolution."
-        ).set_function(lambda: self._resolved)
-        metrics.counter(
+        )
+        self._metric_joined = event_counter(
             "repro_service_inflight_joined_total",
             "Requests that joined an identical in-flight pair.",
-        ).set_function(lambda: self._inflight_joined)
-        rejected = metrics.counter(
+        )
+        self._metric_rejected = event_counter(
             "repro_service_rejected_total",
             "Submissions rejected at admission, by reason.",
-            labels=("reason",),
+            "reason",
+            ("overload", "budget", "degraded"),
         )
-        rejected.set_function(lambda: self._rejected_overload, reason="overload")
-        rejected.set_function(lambda: self._rejected_budget, reason="budget")
-        rejected.set_function(lambda: self._rejected_degraded, reason="degraded")
+        self._metric_bulk_requests = event_counter(
+            "repro_service_bulk_requests_total", "Calls to resolve_bulk()."
+        )
+        self._metric_bulk_pairs = event_counter(
+            "repro_service_bulk_pairs_total", "Pairs submitted to resolve_bulk()."
+        )
+        self._metric_bulk_shards = event_counter(
+            "repro_service_bulk_shards_total", "Bulk shards resolved by the session."
+        )
+        self._metric_bulk_served = event_counter(
+            "repro_service_bulk_served_pairs_total",
+            "Bulk pairs served free (cache, join, dedup) or resolved live.",
+            "source",
+            ("cache", "live"),
+        )
 
         # Breaker families render even without a breaker (at zero / closed):
         # scrapers must see a stable schema whether or not gating is on, the
@@ -498,7 +495,7 @@ class ResolutionService:
         metrics.counter(
             "repro_service_degraded_total",
             "Submissions refused in degraded mode (breaker open).",
-        ).set_function(lambda: self._rejected_degraded)
+        ).set_function(lambda: self._metric_rejected.value(reason="degraded"))
 
         # HTTP-backed engines route through a RetryingTransport; bind the
         # service's tracer and registry so retry/429/rate-limit-wait counters
@@ -537,10 +534,9 @@ class ResolutionService:
     ) -> None:
         """Record one front-end request into the per-tenant metric families.
 
-        Both HTTP front ends call this once per routed request, so the
+        The router calls this once per routed POST, feeding the
         ``repro_service_requests_total{tenant,status}`` counter and the
-        per-tenant latency histogram mean the same thing whichever front end
-        served the traffic.
+        per-tenant latency histogram.
         """
         label = tenant if tenant else ANONYMOUS_TENANT
         self._metric_requests.inc(tenant=label, status=str(status))
@@ -731,84 +727,77 @@ class ResolutionService:
             ServiceOverloaded: if the queue stays full past the admission
                 timeout.
         """
-        if self._stopped:
-            raise ServiceClosed("service has been stopped")
-        if tenant is not None:
-            tenant.admit()
-        if self._pending_vectors:
-            self._drain_pending_vectors()
+        self._enter(tenant, 1)
+        self._drain_pending_vectors()
         fingerprint = pair_fingerprint(pair)
+        future: Future = Future()
         cached = self._cache.get(fingerprint)
         if cached is not None:
-            future: Future = Future()
             future.set_result(
                 Resolution(pair=pair, label=cached.label, answered=cached.answered)
             )
-            with self._lock:
-                self._submitted += 1
-                self._resolved += 1
-            return future
+            self._metric_resolved.inc()
+        elif not self._attach(fingerprint, pair, future, register_if_absent=False):
+            self._admit(tenant)
+            # A concurrent submitter may have registered the pair meanwhile:
+            # then this request joins it instead of enqueueing a duplicate.
+            if not self._attach(fingerprint, pair, future, register_if_absent=True):
+                self._enqueue(
+                    PendingRequest(
+                        pair=pair,
+                        fingerprint=fingerprint,
+                        future=future,
+                        enqueued_at=self._clock.monotonic(),
+                        tenant=tenant.name if tenant is not None else None,
+                    )
+                )
+        self._metric_submitted.inc()
+        return future
 
-        future: Future = Future()
-        if self._attach(fingerprint, pair, future, register_if_absent=False):
-            return future
+    # -- admission: one ordered chain for submit() and resolve_bulk() --------
 
-        # Degraded mode: with the breaker open, new LLM-bound work is refused
-        # up front (cache hits and joins were already served above) instead
-        # of queueing doomed requests behind a gated backend.  Half-open is
-        # *not* degraded — probe traffic is how the service recovers.
-        self._check_degraded()
+    def _enter(self, tenant: Tenant | None, units: int) -> None:
+        """First link, run for every request: a stopped service refuses all,
+        and the tenant quota protects the front end, so even cache hits
+        count against it."""
+        if self._stopped:
+            raise ServiceClosed("service has been stopped")
+        if tenant is not None and units:
+            tenant.admit(units)
 
-        # Cost-aware admission applies to *new* LLM work only: cache hits and
-        # in-flight joins are free and therefore always served.  The tenant
-        # budget extends the same discipline per tenant.
+    def _admit(self, tenant: Tenant | None) -> None:
+        """Second link, run only for new LLM-bound work (cache hits and joins
+        never get here): degraded mode (half-open is not degraded — probe
+        traffic is how the service recovers), tenant budget, session budget."""
+        breaker = self.breaker
+        if breaker is not None and breaker.state == STATE_OPEN:
+            self._metric_rejected.inc(reason="degraded")
+            raise ServiceDegraded(
+                "backend circuit breaker is open; only cached and in-flight "
+                "pairs are served",
+                retry_after=breaker.retry_after,
+            )
         if tenant is not None:
             tenant.check_budget()
         budget = self.config.cost_budget
         if budget is not None:
             spent = self._resolver.cost().total_cost
             if spent >= budget:
-                with self._lock:
-                    self._rejected_budget += 1
+                self._metric_rejected.inc(reason="budget")
                 raise CostBudgetExceeded(
                     f"session cost ${spent:.4f} has reached the budget "
                     f"${budget:.4f}; only cached pairs are served"
                 )
 
-        if self._attach(fingerprint, pair, future, register_if_absent=True):
-            return future  # lost a race with a concurrent submitter: joined
-        request = PendingRequest(
-            pair=pair,
-            fingerprint=fingerprint,
-            future=future,
-            enqueued_at=self._clock.monotonic(),
-            tenant=tenant.name if tenant is not None else None,
-        )
+    def _enqueue(self, request: PendingRequest) -> None:
+        """Queue an admitted request; a refusal fails its joined duplicates too."""
         try:
             self._queue.put(request, timeout=self.config.admission_timeout_seconds)
-        except ServiceOverloaded as error:
-            with self._lock:
-                self._rejected_overload += 1
-            self._fail(fingerprint, error)  # joined duplicates must not hang
+        except (ServiceOverloaded, ServiceClosed) as error:
+            if isinstance(error, ServiceOverloaded):
+                self._metric_rejected.inc(reason="overload")
+            self._fail(request.fingerprint, error)
             raise
-        except ServiceClosed as error:
-            self._fail(fingerprint, error)
-            raise
-        with self._lock:
-            self._submitted += 1
-        return future
-
-    def _check_degraded(self) -> None:
-        """Refuse new LLM-bound work while the backend breaker is open."""
-        breaker = self.breaker
-        if breaker is not None and breaker.state == STATE_OPEN:
-            with self._lock:
-                self._rejected_degraded += 1
-            raise ServiceDegraded(
-                "backend circuit breaker is open; only cached and in-flight "
-                "pairs are served",
-                retry_after=breaker.retry_after,
-            )
 
     def _deadline(self) -> ContextManager[DeadlineBudget | None]:
         """Ambient deadline scope for one logical unit of LLM-bound work."""
@@ -828,14 +817,13 @@ class ResolutionService:
         register this request as the fingerprint's owner (returns ``False``)."""
         with self._lock:
             waiters = self._inflight.get(fingerprint)
-            if waiters is not None:
-                waiters.append((pair, future))
-                self._submitted += 1
-                self._inflight_joined += 1
-                return True
-            if register_if_absent:
-                self._inflight[fingerprint] = [(pair, future)]
-            return False
+            if waiters is None:
+                if register_if_absent:
+                    self._inflight[fingerprint] = [(pair, future)]
+                return False
+            waiters.append((pair, future))
+        self._metric_joined.inc()
+        return True
 
     def resolve_many(
         self,
@@ -855,12 +843,7 @@ class ResolutionService:
             TimeoutError: if the deadline passes before all pairs resolve.
         """
         futures = [self.submit(pair, tenant=tenant) for pair in pairs]
-        deadline = None if timeout is None else self._clock.monotonic() + timeout
-        resolutions = []
-        for future in futures:
-            remaining = None if deadline is None else max(0.0, deadline - self._clock.monotonic())
-            resolutions.append(future.result(timeout=remaining))
-        return resolutions
+        return self._wait(futures, timeout)
 
     def resolve_bulk(
         self,
@@ -909,14 +892,10 @@ class ResolutionService:
             TimeoutError: if a joined in-flight pair does not resolve within
                 ``timeout``.
         """
-        if self._stopped:
-            raise ServiceClosed("service has been stopped")
         pairs = list(pairs)
-        if tenant is not None and pairs:
-            tenant.admit(len(pairs))
-        with self._lock:
-            self._bulk_requests += 1
-            self._bulk_pairs += len(pairs)
+        self._enter(tenant, len(pairs))
+        self._metric_bulk_requests.inc()
+        self._metric_bulk_pairs.inc(len(pairs))
         if not pairs:
             return []
 
@@ -931,23 +910,18 @@ class ResolutionService:
             # results *before* popping them from the in-flight table, so a
             # pair that leaves in-flight between these two lookups is caught
             # by the cache, never re-paid.
-            with self._lock:
-                waiters = self._inflight.get(fingerprint)
-                if waiters is not None:
-                    future: Future = Future()
-                    waiters.append((pair, future))
-                    self._inflight_joined += 1
-                    joined[fingerprint] = future
-                    continue
+            future: Future = Future()
+            if self._attach(fingerprint, pair, future, register_if_absent=False):
+                joined[fingerprint] = future
+                continue
             cached = self._cache.get(fingerprint)
             if cached is not None:
                 resolved[fingerprint] = Resolution(
                     pair=pair, label=cached.label, answered=cached.answered
                 )
             else:
-                pending.setdefault(fingerprint, pair)
-        with self._lock:
-            self._bulk_cached += len(pairs) - len(pending)
+                pending[fingerprint] = pair
+        self._metric_bulk_served.inc(len(pairs) - len(pending), source="cache")
 
         if pending:
             unique = list(pending.values())
@@ -955,65 +929,50 @@ class ResolutionService:
             floor = max(1, -(-len(unique) // chunk))
             num_shards = max(shards, floor) if shards is not None else floor
             shard_indices = ShardPlanner(num_shards).plan_pairs(unique)
-            populated = [indices for indices in shard_indices if indices]
-            for indices in populated:
-                # Re-checked per shard, not once per request: a single huge
-                # bulk submission may then overshoot the budget by at most
-                # one shard, matching the per-submit granularity of the
-                # micro-batch path.  Shards resolved before the rejection
-                # stay cached, so a retry pays nothing for them.  The same
-                # per-shard granularity applies to degraded mode: a breaker
-                # that opens mid-bulk stops the run at the next shard
-                # boundary with everything before it cached.
-                self._check_degraded()
-                if tenant is not None:
-                    tenant.check_budget()
-                budget = self.config.cost_budget
-                if budget is not None:
-                    spent = self._resolver.cost().total_cost
-                    if spent >= budget:
-                        with self._lock:
-                            self._rejected_budget += 1
-                        raise CostBudgetExceeded(
-                            f"session cost ${spent:.4f} has reached the budget "
-                            f"${budget:.4f}; only cached pairs are served"
-                        )
+            for indices in shard_indices:
+                if not indices:
+                    continue
+                # Admission is re-run per shard, not once per request: a
+                # single huge bulk submission may then overshoot a budget by
+                # at most one shard, matching the per-submit granularity of
+                # the micro-batch path, and a breaker that opens mid-bulk
+                # stops the run at the next shard boundary.  Shards resolved
+                # before a rejection stay cached, so a retry pays nothing
+                # for them.
+                self._admit(tenant)
                 shard_pairs = [unique[index] for index in indices]
                 cost_before = self._resolver.cost().total_cost
                 with self._resolver_lock, self._deadline():
                     shard_resolutions = self._resolver.resolve(shard_pairs)
                 if tenant is not None:
                     tenant.charge(self._resolver.cost().total_cost - cost_before)
-                with self._lock:
-                    self._bulk_shards += 1
-                    self._bulk_resolved += len(shard_pairs)
+                self._metric_bulk_shards.inc()
+                self._metric_bulk_served.inc(len(shard_pairs), source="live")
                 for pair, resolution in zip(shard_pairs, shard_resolutions):
                     fingerprint = pair_fingerprint(pair)
                     resolved[fingerprint] = resolution
-                    # As on the micro-batch path, fallback labels are never
-                    # cached — the next request gets a fresh LLM attempt.
-                    if resolution.answered:
-                        self._cache.put(
-                            fingerprint,
-                            CachedResult(
-                                label=resolution.label, answered=resolution.answered
-                            ),
-                        )
+                    self._settle(fingerprint, resolution)
 
-        if joined:
-            deadline = None if timeout is None else self._clock.monotonic() + timeout
-            for fingerprint, future in joined.items():
-                remaining = (
-                    None if deadline is None else max(0.0, deadline - self._clock.monotonic())
-                )
-                resolved[fingerprint] = future.result(timeout=remaining)
-
+        resolved.update(zip(joined, self._wait(joined.values(), timeout)))
         resolutions = []
         for pair, fingerprint in zip(pairs, fingerprints):
             source = resolved[fingerprint]
             resolutions.append(
                 Resolution(pair=pair, label=source.label, answered=source.answered)
             )
+        return resolutions
+
+    def _wait(
+        self, futures: Iterable[Future], timeout: float | None
+    ) -> list[Resolution]:
+        """Results of ``futures`` in order, under one overall ``timeout``."""
+        deadline = None if timeout is None else self._clock.monotonic() + timeout
+        resolutions = []
+        for future in futures:
+            remaining = (
+                None if deadline is None else max(0.0, deadline - self._clock.monotonic())
+            )
+            resolutions.append(future.result(timeout=remaining))
         return resolutions
 
     # -- flushing ------------------------------------------------------------
@@ -1066,31 +1025,32 @@ class ResolutionService:
                     if owner is not None:
                         owner.charge(per_pair)
         for fingerprint, resolution in zip(unique, resolutions):
-            # Fallback labels (answered=False) are never cached: the next
-            # request for such a pair gets a fresh LLM attempt instead of a
-            # permanently memoized guess.
-            if resolution.answered:
-                self._cache.put(
-                    fingerprint,
-                    CachedResult(label=resolution.label, answered=resolution.answered),
-                )
-            with self._lock:
-                waiters = self._inflight.pop(fingerprint, [])
-            completed = 0
-            for pair, future in waiters:
-                # A waiter may have cancelled its future; setting a result on
-                # it would raise and kill the consumer thread.
-                if not future.done():
-                    future.set_result(
-                        Resolution(
-                            pair=pair,
-                            label=resolution.label,
-                            answered=resolution.answered,
-                        )
+            self._settle(fingerprint, resolution)
+
+    def _settle(self, fingerprint: str, resolution: Resolution) -> None:
+        """Cache one live resolution and complete every waiter on its pair."""
+        # Fallback labels (answered=False) are never cached: the next request
+        # for such a pair gets a fresh LLM attempt instead of a permanently
+        # memoized guess.
+        if resolution.answered:
+            self._cache.put(
+                fingerprint,
+                CachedResult(label=resolution.label, answered=resolution.answered),
+            )
+        with self._lock:
+            waiters = self._inflight.pop(fingerprint, [])
+        completed = 0
+        for pair, future in waiters:
+            # A waiter may have cancelled its future; setting a result on it
+            # would raise and kill the consumer thread.
+            if not future.done():
+                future.set_result(
+                    Resolution(
+                        pair=pair, label=resolution.label, answered=resolution.answered
                     )
-                    completed += 1
-            with self._lock:
-                self._resolved += completed
+                )
+                completed += 1
+        self._metric_resolved.inc(completed)
 
     def _fail(self, fingerprint: str, error: Exception) -> None:
         with self._lock:
@@ -1137,22 +1097,9 @@ class ResolutionService:
 
     def stats(self) -> ServiceStats:
         """Return a point-in-time snapshot of the service's counters."""
-        if self._pending_vectors:
-            self._drain_pending_vectors()
-        with self._lock:
-            submitted = self._submitted
-            resolved = self._resolved
-            inflight_joined = self._inflight_joined
-            rejected_overload = self._rejected_overload
-            rejected_budget = self._rejected_budget
-            rejected_degraded = self._rejected_degraded
-            engine = EngineStats(
-                bulk_requests=self._bulk_requests,
-                bulk_pairs=self._bulk_pairs,
-                shards_resolved=self._bulk_shards,
-                pairs_from_cache=self._bulk_cached,
-                pairs_resolved=self._bulk_resolved,
-            )
+        self._drain_pending_vectors()
+        resolved = int(self._metric_resolved.value())
+        rejected = self._metric_rejected
         uptime = (
             self._clock.monotonic() - self._started_at if self._started_at is not None else 0.0
         )
@@ -1160,22 +1107,28 @@ class ResolutionService:
         llm = self._resolver.llm
         llm_engine = llm.describe() if isinstance(llm, EngineBackend) else None
         return ServiceStats(
-            submitted=submitted,
+            submitted=int(self._metric_submitted.value()),
             resolved=resolved,
             cache_hits=self._cache.hits,
             cache_misses=self._cache.misses,
             cache_size=len(self._cache),
-            inflight_joined=inflight_joined,
-            rejected_overload=rejected_overload,
-            rejected_budget=rejected_budget,
-            rejected_degraded=rejected_degraded,
+            inflight_joined=int(self._metric_joined.value()),
+            rejected_overload=int(rejected.value(reason="overload")),
+            rejected_budget=int(rejected.value(reason="budget")),
+            rejected_degraded=int(rejected.value(reason="degraded")),
             queue_depth=self.queue_depth,
             flushes=self._batcher.num_flushes,
             llm_calls=self._resolver.usage.num_calls,
             pool_size=self._resolver.pool_size,
             num_labeled=self._resolver.num_labeled,
             cost=self._resolver.cost(),
-            engine=engine,
+            engine=EngineStats(
+                bulk_requests=int(self._metric_bulk_requests.value()),
+                bulk_pairs=int(self._metric_bulk_pairs.value()),
+                shards_resolved=int(self._metric_bulk_shards.value()),
+                pairs_from_cache=int(self._metric_bulk_served.value(source="cache")),
+                pairs_resolved=int(self._metric_bulk_served.value(source="live")),
+            ),
             llm_engine=llm_engine,
             feature_store=store.stats() if store is not None else None,
             uptime_seconds=uptime,

@@ -1,18 +1,27 @@
 """Tests for the micro-batching ResolutionService facade."""
 
 import threading
+import time
 
 import pytest
 
 from repro.core.config import BatcherConfig
 from repro.data.schema import EntityPair, MatchLabel, Record
+from repro.engines.faults import FakeClock
 from repro.pipeline import Resolution, Resolver
+from repro.resilience import BreakerConfig, CircuitBreaker
 from repro.service import (
+    CachedResult,
     CostBudgetExceeded,
     ResolutionService,
     ServiceClosed,
     ServiceConfig,
+    ServiceDegraded,
     ServiceOverloaded,
+    TenantBudgetExceeded,
+    TenantConfig,
+    TenantQuotaExceeded,
+    pair_fingerprint,
 )
 
 
@@ -377,6 +386,135 @@ class TestAdmission:
             service.submit(questions[0])
         with pytest.raises(ServiceClosed):
             service.start()
+
+
+def _pair(pair_id: str, left: str, right: str) -> EntityPair:
+    return EntityPair(
+        pair_id=pair_id,
+        left=Record(record_id=f"{pair_id}-L", values={"name": left}),
+        right=Record(record_id=f"{pair_id}-R", values={"name": right}),
+    )
+
+
+def _rejections(service: ResolutionService) -> dict[str, int]:
+    stats = service.stats()
+    return {
+        "overload": stats.rejected_overload,
+        "budget": stats.rejected_budget,
+        "degraded": stats.rejected_degraded,
+    }
+
+
+def _stop(service, tenant):
+    service.stop()
+
+
+def _drain_quota(service, tenant):
+    tenant.admit()  # a burst of one: the bucket is now empty
+
+
+def _trip_breaker(service, tenant):
+    service.breaker.record_failure()
+
+
+def _spend_tenant_budget(service, tenant):
+    tenant.charge(1.0)
+
+
+def _spend_session_budget(service, tenant):
+    service.resolver.resolve([_pair("spend", "a", "b")])
+
+
+class TestSharedAdmissionChain:
+    """``submit`` and ``resolve_bulk`` refuse new work through one chain:
+    the same exception, the same ``rejected_*`` counters, and free work
+    (cache hits, in-flight joins) still served wherever the refusal allows."""
+
+    @pytest.mark.parametrize(
+        "refuse, tenant_name, error, rejected, serves_free_work",
+        [
+            (_stop, None, ServiceClosed, {}, False),
+            (_drain_quota, "throttled", TenantQuotaExceeded, {}, False),
+            (_trip_breaker, None, ServiceDegraded, {"degraded": 1}, True),
+            (_spend_tenant_budget, "frugal", TenantBudgetExceeded, {}, True),
+            (_spend_session_budget, None, CostBudgetExceeded, {"budget": 1}, True),
+        ],
+        ids=["stopped", "tenant-quota", "degraded", "tenant-budget", "session-budget"],
+    )
+    def test_submit_and_bulk_refuse_alike(
+        self, beer_dataset, refuse, tenant_name, error, rejected, serves_free_work
+    ):
+        config = ServiceConfig(
+            batcher=BatcherConfig(seed=1),
+            max_batch_size=8,
+            max_wait_seconds=0.02,
+            cost_budget=1e-9,
+            tenants=(
+                TenantConfig(
+                    name="throttled",
+                    api_key="k-throttled",
+                    requests_per_second=0.001,
+                    burst=1.0,
+                ),
+                TenantConfig(name="frugal", api_key="k-frugal", cost_budget=1e-9),
+            ),
+        )
+        breaker = CircuitBreaker(
+            BreakerConfig(failure_threshold=1, cooldown_seconds=60.0),
+            clock=FakeClock(),
+        )
+        service = ResolutionService.from_dataset(beer_dataset, config, breaker=breaker)
+        tenant = service.tenants.get(tenant_name) if tenant_name else None
+        cached = _pair("cached", "pale ale", "Pale Ale")
+        service.cache.put(
+            pair_fingerprint(cached),
+            CachedResult(label=MatchLabel.MATCH, answered=True),
+        )
+        in_flight = _pair("in-flight", "stout", "Stout")
+        owner = service.submit(in_flight)  # queued: the consumer is not started
+        novel = _pair("novel", "lager", "porter")
+        try:
+            refuse(service, tenant)
+            deltas = []
+            for attempt in (
+                lambda: service.submit(novel, tenant=tenant),
+                lambda: service.resolve_bulk([novel], tenant=tenant),
+            ):
+                before = _rejections(service)
+                with pytest.raises(error):
+                    attempt()
+                after = _rejections(service)
+                deltas.append({key: after[key] - before[key] for key in after})
+            expected = {"overload": 0, "budget": 0, "degraded": 0, **rejected}
+            assert deltas == [expected, expected]
+            if not serves_free_work:
+                return
+
+            hit = service.submit(cached, tenant=tenant)
+            assert hit.result(timeout=0).label is MatchLabel.MATCH
+            joined_before = service.stats().inflight_joined
+            joined = service.submit(in_flight, tenant=tenant)
+            bulk = []
+            worker = threading.Thread(
+                target=lambda: bulk.append(
+                    service.resolve_bulk([cached, in_flight], tenant=tenant)
+                )
+            )
+            worker.start()
+            deadline = time.monotonic() + 10.0
+            while service.stats().inflight_joined < joined_before + 2:
+                assert time.monotonic() < deadline, "bulk never joined the pair"
+                time.sleep(0.005)
+            service.start()  # flush the in-flight pair for all three waiters
+            worker.join(timeout=30.0)
+            assert not worker.is_alive()
+            label = owner.result(timeout=10.0).label
+            assert joined.result(timeout=10.0).label is label
+            [bulk_cached, bulk_joined] = bulk[0]
+            assert bulk_cached.label is MatchLabel.MATCH
+            assert bulk_joined.label is label
+        finally:
+            service.stop()
 
 
 class TestServiceLifecycle:

@@ -1,9 +1,9 @@
 """Tests for the asyncio HTTP front end (`repro.service.aio`).
 
-The routing semantics are shared with the threaded front end through
-``ServiceRouter``, so these tests focus on what the transport owns: HTTP/1.1
-keep-alive, per-request read deadlines (slowloris), connection bounding,
-graceful drain, and byte-identity of the routed bodies.
+Routing semantics live in ``ServiceRouter`` (see ``test_service_http.py``),
+so these tests focus on what the transport owns: HTTP/1.1 framing and
+keep-alive, per-request read deadlines (slowloris), connection bounding and
+graceful drain.
 """
 
 import http.client
@@ -220,6 +220,37 @@ class TestTransport:
         finally:
             server.shutdown()
 
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            # Differing duplicates: read last-wins, the 13-byte body below
+            # would be answered while a front proxy waits for 200 bytes.
+            b"Content-Length: 200\r\nContent-Length: 13\r\n",
+            # Transfer-Encoding next to Content-Length: the two framings
+            # disagree on where the body ends.
+            b"Transfer-Encoding: chunked\r\nContent-Length: 13\r\n",
+        ],
+        ids=["conflicting-content-length", "transfer-encoding"],
+    )
+    def test_ambiguous_framing_refused_400_and_closed(self, aio_server, framing):
+        host, port = _host_port(aio_server)
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /resolve HTTP/1.1\r\nHost: t\r\n"
+                + framing
+                + b'\r\n{"pairs": []}'
+            )
+            sock.settimeout(10)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break  # the server closed the connection
+                chunks.append(chunk)
+        response = b"".join(chunks).decode("latin-1")
+        assert response.startswith("HTTP/1.1 400")
+        assert "Connection: close" in response
+
     def test_malformed_request_line_400(self, aio_server):
         host, port = _host_port(aio_server)
         with socket.create_connection((host, port), timeout=10) as sock:
@@ -293,16 +324,3 @@ class TestLifecycle:
             assert server.requests_served >= 2
         finally:
             server.shutdown()
-
-
-class TestFrontendIdentity:
-    def test_byte_identical_bodies_across_frontends(self, aio_service):
-        # The self-test helper drives the same cached POST through both front
-        # ends and byte-compares the bodies; reuse it as the unit-level oracle.
-        from repro.service.cli import _frontend_checks
-
-        checks = _frontend_checks(aio_service)
-        assert checks == {
-            "async_frontend_byte_identical_to_threaded": True,
-            "head_answered_on_both_frontends": True,
-        }

@@ -1,8 +1,12 @@
-"""Tests for the stdlib HTTP front end and the repro-serve CLI plumbing."""
+"""Tests for the service's HTTP surface: routes, error mapping, tenants, bulk,
+the ``/stats`` contract, and the repro-serve CLI plumbing.
 
-import http.client
+Everything runs over real sockets against the asyncio front end; transport
+behaviour (framing, keep-alive, read deadlines) is covered in
+``test_service_aio.py``.
+"""
+
 import json
-import socket
 import urllib.error
 import urllib.request
 
@@ -10,13 +14,9 @@ import pytest
 
 from repro.core.config import BatcherConfig
 from repro.service import ResolutionService, ServiceConfig, TenantConfig
+from repro.service.aio import AsyncServiceHTTPServer
 from repro.service.cli import main as serve_main
-from repro.service.http import (
-    MAX_BODY_BYTES,
-    BadRequest,
-    ServiceHTTPServer,
-    pairs_from_json,
-)
+from repro.service.http import MAX_BODY_BYTES, BadRequest, pairs_from_json
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +25,9 @@ def http_server(beer_dataset):
         batcher=BatcherConfig(seed=1), max_batch_size=8, max_wait_seconds=0.02
     )
     service = ResolutionService.from_dataset(beer_dataset, config).start()
-    server = ServiceHTTPServer(service, port=0).serve_in_background()
+    server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
     yield server
     server.shutdown()
-    server.server_close()
     service.stop()
 
 
@@ -177,7 +176,7 @@ class TestErrorPaths:
             admission_timeout_seconds=0.01,
         )
         service = ResolutionService.from_dataset(beer_dataset, config)
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         try:
             blocker = beer_dataset.splits.test[0].without_label()
             service.submit(blocker)
@@ -191,7 +190,6 @@ class TestErrorPaths:
             assert excinfo.value.headers["Retry-After"] == "1"
         finally:
             server.shutdown()
-            server.server_close()
             service.stop()
 
     def test_cost_budget_rejection_429(self, beer_dataset):
@@ -202,7 +200,7 @@ class TestErrorPaths:
             cost_budget=1e-9,
         )
         service = ResolutionService.from_dataset(beer_dataset, config).start()
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         try:
             first = beer_dataset.splits.test[0]
             payload = {
@@ -228,13 +226,12 @@ class TestErrorPaths:
             assert status == 200
         finally:
             server.shutdown()
-            server.server_close()
             service.stop()
 
     def test_stopped_service_503(self, beer_dataset):
         config = ServiceConfig(batcher=BatcherConfig(seed=1))
         service = ResolutionService.from_dataset(beer_dataset, config).start()
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         try:
             service.stop()
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -246,14 +243,15 @@ class TestErrorPaths:
             assert excinfo.value.code == 503
         finally:
             server.shutdown()
-            server.server_close()
 
 
 class TestHardening:
-    """Front-end hardening: HEAD probes, slowloris guard, keep-alive,
-    connection-close contract and the derived backpressure Retry-After."""
+    """HEAD probes on every GET route and the derived backpressure
+    Retry-After (slowloris, keep-alive and connection-close are transport
+    tests in test_service_aio.py)."""
 
-    @pytest.mark.parametrize("path", ["/healthz", "/readyz", "/stats", "/metrics"])
+    # /healthz is covered by test_service_aio.py::TestRoutes.
+    @pytest.mark.parametrize("path", ["/readyz", "/stats", "/metrics"])
     def test_head_mirrors_get_without_body(self, http_server, path):
         get = urllib.request.urlopen(http_server.address + path, timeout=10)
         request = urllib.request.Request(http_server.address + path, method="HEAD")
@@ -271,81 +269,6 @@ class TestHardening:
         assert excinfo.value.code == 404
         assert excinfo.value.read() == b""
 
-    def test_half_sent_body_answered_408(self, http_server):
-        # Slowloris regression: promise 1000 bytes, deliver 20, stall.  The
-        # pre-fix handler blocked in rfile.read() forever; the fixed one
-        # answers 408 once the body read deadline expires.
-        server = ServiceHTTPServer(
-            http_server.service, port=0, body_read_timeout=0.3
-        ).serve_in_background()
-        try:
-            host, port = server.server_address[:2]
-            with socket.create_connection((host, port), timeout=10) as sock:
-                sock.sendall(
-                    b"POST /resolve HTTP/1.1\r\n"
-                    b"Host: test\r\n"
-                    b"Content-Type: application/json\r\n"
-                    b"Content-Length: 1000\r\n"
-                    b"\r\n"
-                    b'{"pairs": [{"left"'  # 20 of the promised 1000 bytes
-                )
-                sock.settimeout(10)
-                response = sock.recv(65536).decode("latin-1")
-            assert response.startswith("HTTP/1.1 408")
-            assert "stalled" in response
-            assert "Connection: close" in response
-        finally:
-            server.shutdown()
-            server.server_close()
-
-    def test_rejects_nonpositive_body_read_timeout(self, http_server):
-        with pytest.raises(ValueError, match="body_read_timeout"):
-            ServiceHTTPServer(http_server.service, port=0, body_read_timeout=0.0)
-
-    def test_keepalive_serves_sequential_requests_on_one_connection(
-        self, http_server
-    ):
-        host, port = http_server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=10)
-        try:
-            connection.request("GET", "/healthz")
-            first = connection.getresponse()
-            assert first.status == 200 and json.loads(first.read())["live"] is True
-            sock = connection.sock
-            assert sock is not None
-            body = json.dumps(
-                {"pairs": [{"left": {"name": "ka"}, "right": {"name": "KA"}}]}
-            )
-            connection.request(
-                "POST", "/resolve", body, {"Content-Type": "application/json"}
-            )
-            second = connection.getresponse()
-            assert second.status == 200
-            assert len(json.loads(second.read())["resolutions"]) == 1
-            # Same socket object: the second request rode the first's
-            # keep-alive connection instead of reconnecting.
-            assert connection.sock is sock
-        finally:
-            connection.close()
-
-    def test_error_response_closes_connection(self, http_server):
-        host, port = http_server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=10)
-        try:
-            connection.request(
-                "POST",
-                "/resolve",
-                '{"pairs": [broken',
-                {"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            assert response.status == 400
-            assert response.headers["Connection"] == "close"
-            response.read()
-            assert response.will_close
-        finally:
-            connection.close()
-
     def test_backpressure_retry_after_derived_from_backlog(self, beer_dataset):
         # Eight queued pairs at one pair per 2s flush -> the client is told to
         # come back in ~16s, not a flat second.
@@ -357,7 +280,7 @@ class TestHardening:
             admission_timeout_seconds=0.01,
         )
         service = ResolutionService.from_dataset(beer_dataset, config)
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         try:
             for pair in list(beer_dataset.splits.test)[:8]:
                 service.submit(pair.without_label())
@@ -371,7 +294,6 @@ class TestHardening:
             assert excinfo.value.headers["Retry-After"] == "16"
         finally:
             server.shutdown()
-            server.server_close()
             service.stop()
 
 
@@ -397,10 +319,9 @@ class TestTenantsOverHTTP:
             require_api_key=True,
         )
         service = ResolutionService.from_dataset(beer_dataset, config).start()
-        server = ServiceHTTPServer(service, port=0).serve_in_background()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
         yield server
         server.shutdown()
-        server.server_close()
         service.stop()
 
     PAYLOAD = {"pairs": [{"left": {"name": "lager"}, "right": {"name": "Lager"}}]}
@@ -551,6 +472,174 @@ class TestBulkEndpoint:
         assert payload["engine"]["bulk_pairs"] >= 1
 
 
+#: The ``GET /stats`` contract: key set, nesting and JSON value types.  Ints
+#: must stay ints (``bool`` is not an int here); ``perfbench/run.py`` reads
+#: ``cost.api_cost``, ``cost.num_labeled_pairs``, ``llm_calls``, ``flushes``,
+#: ``cache_hit_rate``, ``inflight_joined`` and ``rejected_*``.
+STATS_SCHEMA = {
+    "submitted": int,
+    "resolved": int,
+    "cache_hits": int,
+    "cache_misses": int,
+    "cache_size": int,
+    "cache_hit_rate": float,
+    "inflight_joined": int,
+    "rejected_overload": int,
+    "rejected_budget": int,
+    "rejected_degraded": int,
+    "queue_depth": int,
+    "flushes": int,
+    "llm_calls": int,
+    "pool_size": int,
+    "num_labeled": int,
+    "cost": {
+        "api_cost": float,
+        "labeling_cost": float,
+        "total_cost": float,
+        "prompt_tokens": int,
+        "completion_tokens": int,
+        "num_llm_calls": int,
+        "num_labeled_pairs": int,
+    },
+    "engine": {
+        "bulk_requests": int,
+        "bulk_pairs": int,
+        "shards_resolved": int,
+        "pairs_from_cache": int,
+        "pairs_resolved": int,
+    },
+    "llm_engine": {
+        "engine": str,
+        "model": str,
+        "supports_json_schema": bool,
+        "requires_network": bool,
+        "requests": int,
+        "prompt_tokens": int,
+        "completion_tokens": int,
+    },
+    "feature_store": {
+        "size": int,
+        "capacity": int,
+        "hits": int,
+        "misses": int,
+        "hit_rate": float,
+        "evictions": int,
+        "distance_hits": int,
+        "distance_misses": int,
+        "chunked_extracts": int,
+        "memmap_matrices": int,
+        "planning": {
+            "dense_graphs": int,
+            "sparse_graphs": int,
+            "lsh_graphs": int,
+            "lsh_routes": int,
+            "cross_joins": int,
+            "dense_radii": int,
+            "sampled_radii": int,
+            "edges_built": int,
+            "lsh_candidates": int,
+            "lsh_edges": int,
+            "lsh_oracle_runs": int,
+            "lsh_recall_min": (float, type(None)),
+        },
+    },
+    "uptime_seconds": float,
+    "throughput_pairs_per_second": float,
+    "breaker": type(None),
+    "tenants": type(None),
+    "metrics": dict,
+}
+
+#: Metric families ``GET /metrics`` has always exposed; none may be renamed
+#: or dropped.
+METRIC_FAMILIES = (
+    "repro_breaker_fast_failures_total",
+    "repro_breaker_open_seconds_total",
+    "repro_breaker_state",
+    "repro_breaker_trips_total",
+    "repro_cache_hit_rate",
+    "repro_cache_hits_total",
+    "repro_cache_misses_total",
+    "repro_cache_size",
+    "repro_feature_store_hit_rate",
+    "repro_feature_store_size",
+    "repro_llm_calls_total",
+    "repro_llm_cost_dollars",
+    "repro_llm_latency_seconds",
+    "repro_llm_tokens_total",
+    "repro_planner_lsh_candidates_total",
+    "repro_planner_route_total",
+    "repro_queue_depth",
+    "repro_service_degraded_total",
+    "repro_service_flush_seconds",
+    "repro_service_flushes_total",
+    "repro_service_inflight_joined_total",
+    "repro_service_rejected_total",
+    "repro_service_request_seconds",
+    "repro_service_requests_total",
+    "repro_service_resolved_total",
+    "repro_service_submitted_total",
+    "repro_transport_retries_total",
+)
+
+
+def _assert_schema(value, schema, path="stats"):
+    if isinstance(schema, dict):
+        assert isinstance(value, dict), path
+        assert set(value) == set(schema), path
+        for key, expected in schema.items():
+            _assert_schema(value[key], expected, f"{path}.{key}")
+    else:
+        allowed = schema if isinstance(schema, tuple) else (schema,)
+        assert type(value) in allowed, f"{path} is {type(value).__name__}"
+
+
+class TestStatsContract:
+    def test_stats_keeps_its_keys_nesting_and_types(self, http_server, beer_dataset):
+        pairs = [pair.without_label() for pair in list(beer_dataset.splits.test)[:3]]
+        entries = [
+            {"left": dict(pair.left.values), "right": dict(pair.right.values)}
+            for pair in pairs
+        ]
+        _post(http_server, "/resolve", {"pairs": entries})
+        _post(http_server, "/bulk", {"pairs": entries})
+        status, payload = _get(http_server, "/stats")
+        assert status == 200
+        _assert_schema(payload, STATS_SCHEMA)
+        assert set(METRIC_FAMILIES) <= set(payload["metrics"])
+        url = http_server.address + "/metrics"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            exposition = response.read().decode()
+        for family in METRIC_FAMILIES:
+            assert f"# TYPE {family} " in exposition
+
+    def test_stats_counters_match_metrics(self, http_server):
+        _post(
+            http_server,
+            "/resolve",
+            {"pairs": [{"left": {"name": "dubbel"}, "right": {"name": "Dubbel"}}]},
+        )
+        _, payload = _get(http_server, "/stats")
+
+        def value(family, **labels):
+            [sample] = [
+                series["value"]
+                for series in payload["metrics"][family]["series"]
+                if series["labels"] == labels
+            ]
+            return sample
+
+        assert payload["submitted"] == value("repro_service_submitted_total")
+        assert payload["resolved"] == value("repro_service_resolved_total")
+        assert payload["inflight_joined"] == value(
+            "repro_service_inflight_joined_total"
+        )
+        for reason in ("overload", "budget", "degraded"):
+            assert payload[f"rejected_{reason}"] == value(
+                "repro_service_rejected_total", reason=reason
+            )
+
+
 class TestPayloadParsing:
     def test_rejects_non_object_entries(self):
         with pytest.raises(BadRequest, match="must be an object"):
@@ -575,4 +664,5 @@ class TestSelfTestCLI:
         assert report["ok"] is True
         assert report["requests"] == 100
         assert all(report["checks"].values())
+        assert {"wire_body_matches_router", "head_answered"} <= set(report["checks"])
         assert report["first_pass"]["llm_calls"] < report["requests"]
