@@ -13,6 +13,21 @@ echo "== tier-1 tests =="
 # caught in review, not discovered months later.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q --durations=15 "$@"
 
+echo "== run-wa prediction digest (perfbench/offline.py) =="
+# Timing-independent: one BatchER.run on the edit-distance-bound run-wa
+# workload at seed 0 must reproduce the tracked prediction digest in
+# perfbench/expected.json with every label a valid 0/1.  The step only reads
+# perfbench/ (no bytecode is written there).
+PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+  python perfbench/offline.py --workload run-wa --seed 0 | python -c '
+import json, sys
+report = json.load(sys.stdin)
+expected = json.load(open("perfbench/expected.json"))["run-wa"]
+digest = report["digest"]
+assert report["labels_valid"] is True, "run-wa produced a label outside {0, 1}"
+assert digest == expected, f"run-wa digest {digest} != expected {expected}"
+'
+
 echo "== service smoke test (repro-serve --self-test) =="
 # The self-test also validates the observability surface end to end: it runs
 # one traced pass and one untraced pass (equal labels prove instrumentation

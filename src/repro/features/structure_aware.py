@@ -12,9 +12,10 @@ neutral 0.5 (the pair gives no evidence either way on that attribute).
 each attribute column is processed at once — the column's distinct value
 pairs are computed a single time and the column is filled in one vectorized
 assignment — with results memoized across calls (ER attribute columns are
-highly repetitive: brewery names, genres, manufacturers — so the expensive
-Levenshtein dynamic program runs only on distinct value pairs; the string
-similarity itself is inherently scalar).  The scalar
+highly repetitive: brewery names, genres, manufacturers — so the
+bit-parallel Levenshtein kernel, O(ceil(m / w) * n) word operations per value
+pair, runs only on distinct value pairs; the string similarity itself is
+inherently scalar).  The scalar
 :meth:`~StructureAwareExtractor.extract` remains the equivalence oracle: both
 paths produce bit-identical vectors.
 """

@@ -210,7 +210,6 @@ class MicroBatcher:
         self._flush = flush
         self._on_flush = on_flush
         self._thread: threading.Thread | None = None
-        self.num_flushes = 0
         #: Flushes whose callback raised (the batch's futures were failed
         #: with that exception and the consumer thread kept running).
         self.num_flush_failures = 0
@@ -256,7 +255,6 @@ class MicroBatcher:
             if not batch:
                 # Only returned once the queue is closed and fully drained.
                 return
-            self.num_flushes += 1
             if self._on_flush is not None:
                 try:
                     self._on_flush(batch, self.flush_reason(batch))

@@ -1117,7 +1117,7 @@ class ResolutionService:
             rejected_budget=int(rejected.value(reason="budget")),
             rejected_degraded=int(rejected.value(reason="degraded")),
             queue_depth=self.queue_depth,
-            flushes=self._batcher.num_flushes,
+            flushes=int(sum(value for _, value in self._metric_flushes.samples())),
             llm_calls=self._resolver.usage.num_calls,
             pool_size=self._resolver.pool_size,
             num_labeled=self._resolver.num_labeled,

@@ -45,8 +45,13 @@ def tokenize_value(value: str | None) -> list[str]:
 def levenshtein_distance(left: str | None, right: str | None) -> int:
     """Compute the Levenshtein edit distance between two strings.
 
-    Uses the classic two-row dynamic program, O(len(left) * len(right)) time and
-    O(min(len)) memory.
+    Uses the bit-parallel algorithm of Myers (JACM 1999) in Hyyrö's (2003)
+    Levenshtein form: one column of the dynamic program is held as vertical
+    delta bit-vectors over the shorter string (the pattern), and each character
+    of the longer string advances the whole column in a handful of word
+    operations.  Python's arbitrary-width ints remove the usual 64-character
+    limit, so the cost is O(ceil(m / w) * n) word operations for pattern length
+    ``m``, text length ``n`` and machine word ``w``, with O(m) memory.
     """
     a = _normalise(left)
     b = _normalise(right)
@@ -58,16 +63,35 @@ def levenshtein_distance(left: str | None, right: str | None) -> int:
         return len(a)
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            substitute_cost = previous[j - 1] + (char_a != char_b)
-            current.append(min(insert_cost, delete_cost, substitute_cost))
-        previous = current
-    return previous[-1]
+    # ``b`` is the pattern: bit i of ``match[c]`` is set where ``b[i] == c``.
+    match: dict[str, int] = {}
+    bit = 1
+    for char in b:
+        match[char] = match.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    # Myers' notation: pv/mv hold the +1/-1 vertical deltas of the current
+    # column (column 0 is 0, 1, ..., m, all +1), ph/mh the horizontal ones.
+    pv = mask
+    mv = 0
+    distance = len(b)
+    lookup = match.get
+    for char in a:
+        eq = lookup(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return distance
 
 
 def levenshtein_ratio(left: str | None, right: str | None) -> float:

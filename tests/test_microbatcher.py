@@ -137,7 +137,14 @@ class TestMicroBatcher:
 
         for index in range(10):
             queue.put(_request(index))
-        batcher = MicroBatcher(queue, flush, max_batch_size=4, max_wait=0.01)
+        reasons: list[str] = []
+        batcher = MicroBatcher(
+            queue,
+            flush,
+            max_batch_size=4,
+            max_wait=0.01,
+            on_flush=lambda batch, reason: reasons.append(reason),
+        )
         batcher.start()
         assert done.wait(timeout=5.0)
         batcher.stop(timeout=5.0)
@@ -148,7 +155,7 @@ class TestMicroBatcher:
             ["fp4", "fp5", "fp6", "fp7"],
             ["fp8", "fp9"],
         ]
-        assert batcher.num_flushes == 3
+        assert reasons == ["size", "size", "deadline"]
 
     def test_stop_drains_queued_requests(self):
         queue = RequestQueue(capacity=16)

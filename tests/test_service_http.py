@@ -639,6 +639,37 @@ class TestStatsContract:
                 "repro_service_rejected_total", reason=reason
             )
 
+    def test_stats_flushes_equal_metrics_family_total(self, beer_dataset):
+        # Nine distinct pairs against max_batch_size=4 fill two batches
+        # ("size"); the ninth and a later lone pair wait out the deadline.
+        config = ServiceConfig(
+            batcher=BatcherConfig(seed=1), max_batch_size=4, max_wait_seconds=0.2
+        )
+        service = ResolutionService.from_dataset(beer_dataset, config).start()
+        server = AsyncServiceHTTPServer(service, port=0).serve_in_background()
+        try:
+            pairs = list(beer_dataset.splits.test)[:10]
+            entries = [
+                {"left": dict(pair.left.values), "right": dict(pair.right.values)}
+                for pair in pairs
+            ]
+            _post(server, "/resolve", {"pairs": entries[:9]})
+            _post(server, "/resolve", {"pairs": entries[9:]})
+            _, payload = _get(server, "/stats")
+            with urllib.request.urlopen(server.address + "/metrics", timeout=10) as response:
+                exposition = response.read().decode()
+        finally:
+            server.shutdown()
+            service.stop()
+        by_reason = {}
+        for line in exposition.splitlines():
+            if line.startswith("repro_service_flushes_total{"):
+                labels, sample = line.rsplit(" ", 1)
+                by_reason[labels] = float(sample)
+        assert by_reason['repro_service_flushes_total{reason="size"}'] >= 1
+        assert by_reason['repro_service_flushes_total{reason="deadline"}'] >= 1
+        assert payload["flushes"] == sum(by_reason.values())
+
 
 class TestPayloadParsing:
     def test_rejects_non_object_entries(self):

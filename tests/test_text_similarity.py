@@ -18,6 +18,7 @@ from repro.text.similarity import (
     overlap_coefficient,
     tokenize_value,
 )
+from repro.text.similarity import _normalise
 
 short_text = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), whitelist_characters=" -."),
@@ -88,6 +89,78 @@ class TestLevenshtein:
     @settings(max_examples=40, deadline=None)
     def test_identity_is_maximal(self, text):
         assert levenshtein_ratio(text, text) == pytest.approx(1.0)
+
+
+def reference_levenshtein(left, right):
+    """The two-row dynamic program the bit-parallel kernel replaced."""
+    a = _normalise(left)
+    b = _normalise(right)
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, char_a in enumerate(a, start=1):
+        current = [i]
+        for j, char_b in enumerate(b, start=1):
+            current.append(
+                min(current[j - 1] + 1, previous[j] + 1, previous[j - 1] + (char_a != char_b))
+            )
+        previous = current
+    return previous[-1]
+
+
+def reference_ratio(left, right):
+    total_length = len(_normalise(left)) + len(_normalise(right))
+    if total_length == 0:
+        return 1.0
+    return 1.0 - reference_levenshtein(left, right) / total_length
+
+
+#: Few distinct characters: many matches, long runs, carries across words.
+small_alphabet_text = st.text(alphabet="abAB ", max_size=200)
+#: Anything: non-ASCII, whitespace, mixed case, so normalisation is exercised.
+any_text = st.text(max_size=200)
+
+
+class TestLevenshteinAgainstDynamicProgram:
+    """Differential test of the bit-parallel kernel against the two-row DP."""
+
+    @staticmethod
+    def check(left, right):
+        assert levenshtein_distance(left, right) == reference_levenshtein(left, right)
+        assert levenshtein_ratio(left, right) == reference_ratio(left, right)
+
+    @given(small_alphabet_text, small_alphabet_text)
+    @settings(max_examples=150, deadline=None)
+    def test_small_alphabet(self, left, right):
+        self.check(left, right)
+
+    @given(any_text, any_text)
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_text(self, left, right):
+        self.check(left, right)
+
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 128])
+    def test_pattern_word_boundaries(self, length):
+        # The shorter normalised string is ``length`` long (padding and case
+        # vanish under normalisation); the longer side shares runs with it,
+        # reverses it, or shares nothing, on both sides of a 64-bit word.
+        pattern = "".join("abcé"[(i * i) % 4] for i in range(length))
+        texts = [
+            "  " + pattern.upper() + "zz ",
+            pattern[::-1] + "xyz",
+            ("ab" * length)[: length + 5],
+            "é" * (length + 1),
+            pattern[: length // 2] + "q" + pattern[length // 2:] + "Ω" * 70,
+        ]
+        for text in texts:
+            assert len(_normalise(pattern)) == length < len(_normalise(text))
+            self.check(pattern, text)
+            self.check(text, pattern)
+
+    @pytest.mark.parametrize("other", [None, "", "   ", "a", "Entity Resolution"])
+    def test_none_inputs(self, other):
+        self.check(None, other)
+        self.check(other, None)
 
 
 class TestJaccard:
