@@ -8,7 +8,7 @@ identical, pre-resolved radii:
 - **dense** (n <= 20 000): the pre-refactor implementation — the full
   ``(n, n)`` pairwise matrix plus per-point Python loops.
 - **exact sparse** (n <= 100 000): blocked CSR epsilon-graphs
-  (:mod:`repro.clustering.neighbors`) with a lazy-greedy set cover.
+  (:mod:`repro.clustering.neighbors`) with the array-based greedy set cover.
 - **LSH** (every size, including ``--n 1000000``): the approximate
   MinHash-LSH epsilon-graph — candidates from a banded MinHash index over
   quantized grid cells, verified with exact distances.

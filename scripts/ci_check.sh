@@ -13,20 +13,25 @@ echo "== tier-1 tests =="
 # caught in review, not discovered months later.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q --durations=15 "$@"
 
-echo "== run-wa prediction digest (perfbench/offline.py) =="
-# Timing-independent: one BatchER.run on the edit-distance-bound run-wa
-# workload at seed 0 must reproduce the tracked prediction digest in
-# perfbench/expected.json with every label a valid 0/1.  The step only reads
-# perfbench/ (no bytecode is written there).
-PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-  python perfbench/offline.py --workload run-wa --seed 0 | python -c '
+# Timing-independent: one BatchER.run per offline workload at seed 0 must
+# reproduce the tracked prediction digest in perfbench/expected.json with every
+# label a valid 0/1.  run-wa covers the dense question-distance path (and the
+# edit-distance featurizer); run-ag-semantic covers the sparse planner (sampled
+# radius, blocked cross join).  The steps only read perfbench/ (no bytecode is
+# written there).
+for workload in run-wa run-ag-semantic; do
+  echo "== $workload prediction digest (perfbench/offline.py) =="
+  PYTHONDONTWRITEBYTECODE=1 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+    python perfbench/offline.py --workload "$workload" --seed 0 | python -c '
 import json, sys
+workload = sys.argv[1]
 report = json.load(sys.stdin)
-expected = json.load(open("perfbench/expected.json"))["run-wa"]
+expected = json.load(open("perfbench/expected.json"))[workload]
 digest = report["digest"]
-assert report["labels_valid"] is True, "run-wa produced a label outside {0, 1}"
-assert digest == expected, f"run-wa digest {digest} != expected {expected}"
-'
+assert report["labels_valid"] is True, f"{workload} produced a label outside {{0, 1}}"
+assert digest == expected, f"{workload} digest {digest} != expected {expected}"
+' "$workload"
+done
 
 echo "== service smoke test (repro-serve --self-test) =="
 # The self-test also validates the observability surface end to end: it runs

@@ -77,11 +77,6 @@ class DemonstrationSelector(ABC):
     #: Strategy name used in configuration and reports.
     name: str = "selector"
 
-    #: Whether :meth:`select` consumes the pairwise question-distance matrix
-    #: (the covering strategy's threshold rule); the pipeline only fetches the
-    #: engine-cached matrix for strategies that read it.
-    uses_question_distances: bool = False
-
     def __init__(
         self, num_demonstrations: int = 8, metric: str = "euclidean", seed: int = 0
     ) -> None:
@@ -111,9 +106,9 @@ class DemonstrationSelector(ABC):
                 the pairs but conceptually hidden until selected).
             pool_features: ``(len(pool), d)`` feature matrix of the pool.
             question_distances: optional precomputed pairwise distance matrix
-                over ``question_features`` in this selector's ``metric`` (the
-                feature engine caches one for small question sets); only
-                strategies with :attr:`uses_question_distances` read it.
+                over ``question_features`` in this selector's ``metric``; the
+                covering strategy's threshold rule reads it, the rest ignore
+                it.
             planner: optional dense/sparse routing policy
                 (:class:`~repro.clustering.neighbors.NeighborPlanner`);
                 strategies that can plan over sparse neighbor graphs (the

@@ -20,24 +20,28 @@ prompt never leaves a question without any reference.
 Scaling: the coverage relation "question q is within ``t`` of demonstration
 d" is all the geometry either phase needs, and a
 :class:`~repro.clustering.neighbors.NeighborPlanner` decides how to obtain
-it.  Small problems keep the historical dense ``(n, m)`` question-to-pool
-matrix; large ones build a sparse question→pool radius graph in fixed-size
-row blocks (peak memory bounded by the block size) and resolve ``t`` from a
+it.  Small problems threshold the dense ``(n, m)`` question-to-pool matrix
+once; large ones build the question→pool radius graph in fixed-size row
+blocks (peak memory bounded by the block size) and resolve ``t`` from a
 seeded distance sample, so neither the ``(n, n)`` nor the ``(n, m)`` matrix
-is ever materialised.  Both paths produce identical selections on the same
-threshold and are golden-tested against each other.
+is ever materialised.  Either way the result is one CSR
+:class:`~repro.clustering.neighbors.NeighborGraph`, and a single body runs
+both phases over it with the array set cover
+(:func:`~repro.selection.set_cover.greedy_cover_csr`), so the two regimes
+produce identical selections on the same threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.batching.base import QuestionBatch
 from repro.clustering.distance import cross_distances
 from repro.clustering.neighbors import (
+    NeighborGraph,
     NeighborPlanner,
     default_planner,
     dense_percentile_radius,
@@ -45,7 +49,7 @@ from repro.clustering.neighbors import (
 from repro.data.schema import EntityPair
 from repro.data.serialization import serialize_pair
 from repro.selection.base import DemonstrationSelector, SelectionResult
-from repro.selection.set_cover import greedy_set_cover
+from repro.selection.set_cover import csr_select_rows, greedy_cover_csr
 from repro.text.tokenizer import ApproxTokenizer
 
 #: The paper's default: take the 8th percentile of pairwise question distances as t.
@@ -77,7 +81,6 @@ class CoveringSelector(DemonstrationSelector):
     """
 
     name = "covering"
-    uses_question_distances = True
 
     def __init__(
         self,
@@ -149,72 +152,103 @@ class CoveringSelector(DemonstrationSelector):
             question_features, question_distances, planner=planner
         )
         active = planner or self.planner or default_planner()
-        num_questions = question_features.shape[0]
-        num_pool = len(pool)
-        if active.use_dense_cross(num_questions, num_pool):
-            return self._select_dense(batches, question_features, pool, pool_features, threshold)
-        return self._select_sparse(
-            batches, question_features, pool, pool_features, threshold, active
-        )
+        if active.use_dense_cross(question_features.shape[0], len(pool)):
+            # Small n * m: threshold the dense question-to-pool matrix once.
+            # Not NeighborGraph.from_dense, which drops the diagonal of square
+            # matrices (right for self-joins only).
+            distances = self._question_to_pool_distances(question_features, pool_features)
+            rows, cols = np.nonzero(distances < threshold)
+            indptr = np.zeros(distances.shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=distances.shape[0]), out=indptr[1:])
+            graph = NeighborGraph(
+                indptr=indptr, indices=cols, num_cols=len(pool),
+                radius=threshold, metric=self.metric, inclusive=False,
+            )
+            nearest = np.argmin(distances, axis=1)
 
-    # -- dense path (small n * m: the historical implementation) -------------
+            def distance_row(question: int, demos: np.ndarray) -> np.ndarray:
+                return distances[question, demos]
 
-    def _select_dense(
+        else:
+            # One blocked pass over the question-to-pool geometry yields both
+            # the strict-radius graph and each question's nearest pool demo.
+            graph, nearest = active.cross_graph(
+                question_features, pool_features, threshold,
+                metric=self.metric, inclusive=False, return_nearest=True,
+            )
+
+            def distance_row(question: int, demos: np.ndarray) -> np.ndarray:
+                # One (1, |demos|) row on demand — cheaper than keeping the
+                # full matrix for the rare fallback questions.
+                return cross_distances(
+                    question_features[question : question + 1],
+                    pool_features[demos],
+                    metric=self.metric,
+                )[0]
+
+        return self._cover(batches, pool, graph, nearest, distance_row, threshold)
+
+    def _cover(
         self,
         batches: Sequence[QuestionBatch],
-        question_features: np.ndarray,
         pool: Sequence[EntityPair],
-        pool_features: np.ndarray,
+        graph: NeighborGraph,
+        nearest: np.ndarray,
+        distance_row: Callable[[int, np.ndarray], np.ndarray],
         threshold: float,
     ) -> SelectionResult:
-        distances = self._question_to_pool_distances(question_features, pool_features)
-        num_questions = distances.shape[0]
-        num_pool = distances.shape[1]
+        """Both covering phases over the question→pool coverage graph.
 
+        Args:
+            graph: row ``q`` lists the pool demonstrations strictly within
+                ``threshold`` of question ``q``.
+            nearest: per question, the index of its nearest pool demonstration.
+            distance_row: distances from one question to the given pool
+                demonstrations (the phase-2 fallback rule).
+        """
         # Phase 1: Demonstration Set Generation over all questions, unit weights.
-        coverage = [
-            frozenset(np.flatnonzero(distances[:, demo] < threshold).tolist())
-            for demo in range(num_pool)
-        ]
-        generation = greedy_set_cover(num_questions, coverage, weights=None)
-        demonstration_set = list(generation.selected)
-
+        selected, covered = greedy_cover_csr(graph.indptr, graph.indices, graph.num_cols)
+        demonstration_set = selected.tolist()
         # Fallback: questions not coverable within t get their nearest pool demo,
         # so every question still has at least one relevant reference.
-        fallback_questions = sorted(generation.uncovered_items)
+        fallback_questions = np.flatnonzero(~covered).tolist()
         for question_index in fallback_questions:
-            nearest = int(np.argmin(distances[question_index]))
-            if nearest not in demonstration_set:
-                demonstration_set.append(nearest)
+            nearest_demo = int(nearest[question_index])
+            if nearest_demo not in demonstration_set:
+                demonstration_set.append(nearest_demo)
+        demos = np.asarray(demonstration_set, dtype=np.int64)
+        token_weights = np.array([
+            max(1.0, float(self.tokenizer.count(serialize_pair(pool[demo]))))
+            for demo in demonstration_set
+        ])
 
-        token_weights = self._token_weights(pool, demonstration_set)
+        # Phase 2 candidates are positions in the demonstration set: mask the
+        # graph once, so a question's row lists the positions covering it.
+        position = np.full(graph.num_cols, -1, dtype=np.int64)
+        position[demos] = np.arange(len(demos))
+        in_set = position[graph.indices]
+        kept = np.concatenate(([0], np.cumsum(in_set >= 0)))
+        masked_indptr, masked_indices = kept[graph.indptr], in_set[in_set >= 0]
 
         # Phase 2: Batch Covering — per batch, cover its questions with the
         # minimum token weight subset of the demonstration set.
         per_batch: list[list[int]] = []
         for batch in batches:
-            batch_questions = list(batch.indices)
-            local_coverage = []
-            for demo in demonstration_set:
-                covered_locally = frozenset(
-                    position
-                    for position, question_index in enumerate(batch_questions)
-                    if distances[question_index, demo] < threshold
-                )
-                local_coverage.append(covered_locally)
-            solution = greedy_set_cover(
-                len(batch_questions),
-                local_coverage,
-                weights=[token_weights[demo] for demo in demonstration_set],
+            batch_questions = np.asarray(batch.indices, dtype=np.int64)
+            local_indptr, local_indices = csr_select_rows(
+                masked_indptr, masked_indices, batch_questions
             )
-            chosen = [demonstration_set[position] for position in solution.selected]
+            picks, batch_covered = greedy_cover_csr(
+                local_indptr, local_indices, len(demos), token_weights
+            )
+            chosen = demos[picks].tolist()
             # Uncovered questions within the batch fall back to their nearest
-            # demonstration from the generated set (cheapest feasible repair).
-            for position in sorted(solution.uncovered_items):
-                question_index = batch_questions[position]
-                nearest_demo = min(
-                    demonstration_set, key=lambda demo: distances[question_index, demo]
-                )
+            # demonstration from the generated set (cheapest feasible repair;
+            # argmin keeps the first minimum in demonstration-set order).
+            for question_index in batch_questions[~batch_covered].tolist():
+                nearest_demo = demonstration_set[
+                    int(np.argmin(distance_row(question_index, demos)))
+                ]
                 if nearest_demo not in chosen:
                     chosen.append(nearest_demo)
             per_batch.append(chosen)
@@ -222,112 +256,7 @@ class CoveringSelector(DemonstrationSelector):
         self.last_diagnostics = CoveringDiagnostics(
             threshold=threshold,
             demonstration_set_size=len(demonstration_set),
-            uncovered_questions=len(generation.uncovered_items),
+            uncovered_questions=len(fallback_questions),
             fallback_questions=len(fallback_questions),
         )
         return self._build_result(batches, per_batch, pool)
-
-    # -- sparse path (blocked radius joins, no dense matrices) ---------------
-
-    def _select_sparse(
-        self,
-        batches: Sequence[QuestionBatch],
-        question_features: np.ndarray,
-        pool: Sequence[EntityPair],
-        pool_features: np.ndarray,
-        threshold: float,
-        planner: NeighborPlanner,
-    ) -> SelectionResult:
-        num_questions = question_features.shape[0]
-        num_pool = len(pool)
-        # One blocked pass over the question-to-pool geometry yields both the
-        # strict-radius coverage graph and each question's nearest pool
-        # demonstration (the phase-1 fallback rule).
-        graph, nearest = planner.cross_graph(
-            question_features,
-            pool_features,
-            threshold,
-            metric=self.metric,
-            inclusive=False,
-            return_nearest=True,
-        )
-        assert nearest is not None
-
-        # Phase 1 over the transposed graph: demo -> covered questions.
-        by_demo = graph.transpose()
-        coverage = [
-            frozenset(by_demo.neighbors(demo).tolist()) for demo in range(num_pool)
-        ]
-        generation = greedy_set_cover(num_questions, coverage, weights=None)
-        demonstration_set = list(generation.selected)
-
-        fallback_questions = sorted(generation.uncovered_items)
-        for question_index in fallback_questions:
-            nearest_demo = int(nearest[question_index])
-            if nearest_demo not in demonstration_set:
-                demonstration_set.append(nearest_demo)
-
-        token_weights = self._token_weights(pool, demonstration_set)
-
-        # Phase 2 reads the same graph: a question's covering demos are its
-        # graph neighbours, intersected with the demonstration set.
-        demo_lookup = set(demonstration_set)
-        covering_demos: dict[int, set[int]] = {}
-        for batch in batches:
-            for question_index in batch.indices:
-                if question_index not in covering_demos:
-                    covering_demos[question_index] = demo_lookup.intersection(
-                        graph.neighbors(question_index).tolist()
-                    )
-
-        per_batch: list[list[int]] = []
-        for batch in batches:
-            batch_questions = list(batch.indices)
-            positions_by_demo: dict[int, list[int]] = {}
-            for position, question_index in enumerate(batch_questions):
-                for demo in covering_demos[question_index]:
-                    positions_by_demo.setdefault(demo, []).append(position)
-            local_coverage = [
-                frozenset(positions_by_demo.get(demo, ()))
-                for demo in demonstration_set
-            ]
-            solution = greedy_set_cover(
-                len(batch_questions),
-                local_coverage,
-                weights=[token_weights[demo] for demo in demonstration_set],
-            )
-            chosen = [demonstration_set[position] for position in solution.selected]
-            for position in sorted(solution.uncovered_items):
-                question_index = batch_questions[position]
-                # One (1, |Ds|) distance row on demand — cheaper than keeping
-                # the full matrix for the rare fallback questions.  Ordering
-                # by demonstration_set keeps the first-minimum tie-break of
-                # the dense path's ``min``.
-                row = cross_distances(
-                    question_features[question_index : question_index + 1],
-                    pool_features[demonstration_set],
-                    metric=self.metric,
-                )[0]
-                nearest_demo = demonstration_set[int(np.argmin(row))]
-                if nearest_demo not in chosen:
-                    chosen.append(nearest_demo)
-            per_batch.append(chosen)
-
-        self.last_diagnostics = CoveringDiagnostics(
-            threshold=threshold,
-            demonstration_set_size=len(demonstration_set),
-            uncovered_questions=len(generation.uncovered_items),
-            fallback_questions=len(fallback_questions),
-        )
-        return self._build_result(batches, per_batch, pool)
-
-    # -- shared helpers ------------------------------------------------------
-
-    def _token_weights(
-        self, pool: Sequence[EntityPair], demonstration_set: Sequence[int]
-    ) -> dict[int, float]:
-        """Token weights of the generated set for the Batch Covering phase."""
-        return {
-            demo: max(1.0, float(self.tokenizer.count(serialize_pair(pool[demo]))))
-            for demo in demonstration_set
-        }

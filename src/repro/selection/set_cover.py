@@ -16,22 +16,27 @@ resolve deterministically to the lowest candidate index.
 
 Two implementations of the same rule are provided:
 
-* :func:`greedy_set_cover` — the default **lazy-greedy (CELF-style)**
-  implementation.  Gains are kept in a max-heap and only re-evaluated when a
-  candidate reaches the top with a stale value; because gains are
-  non-increasing as the uncovered set shrinks (submodularity), a fresh
-  heap-top is provably the global greedy choice — including its tie-break —
-  so the selection sequence is identical to the eager scan while skipping
-  the re-scan of candidates whose gain cannot have changed.
-* :func:`greedy_set_cover_eager` — the straightforward every-round re-scan,
-  kept as the equivalence oracle for tests and benchmarks.
+* :func:`greedy_cover_csr` — the array implementation.  The coverage relation
+  arrives as CSR index arrays (row pointers plus flat candidate indices, one
+  row per item: the layout of a question→pool
+  :class:`~repro.clustering.neighbors.NeighborGraph`).  Every candidate's gain
+  is kept exact in an int array; when a pick newly covers items, one
+  ``np.bincount`` over those items' rows subtracts the lost gains, so a round
+  costs ``O(candidates + edges of the newly covered items)`` in numpy and no
+  Python set is built.  :func:`greedy_set_cover` is a thin adapter that
+  builds the arrays from per-candidate sets.
+* :func:`greedy_set_cover_eager` — the straightforward every-round re-scan
+  over Python sets, kept as the equivalence oracle for tests and benchmarks.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,8 @@ def _prepare(
         raise ValueError(
             f"coverage has {len(coverage)} candidates but weights has {len(weights)}"
         )
-    if any(weight <= 0.0 for weight in weights):
-        raise ValueError("all candidate weights must be positive")
+    if not all(math.isfinite(weight) and weight > 0.0 for weight in weights):
+        raise ValueError("all candidate weights must be finite and positive")
     universe = set(range(num_items))
     coverable: set[int] = set()
     candidate_sets = [set(cover) & universe for cover in coverage]
@@ -81,73 +86,128 @@ def _prepare(
     return weights, candidate_sets, coverable, universe - coverable
 
 
+def csr_select_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR sub-matrix made of ``rows`` (in the given order)."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    sub_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=sub_indptr[1:])
+    shift = np.repeat(starts - sub_indptr[:-1], lengths)
+    return sub_indptr, indices[np.arange(int(sub_indptr[-1])) + shift]
+
+
+def greedy_cover_csr(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    num_candidates: int,
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy weighted set cover over CSR index arrays.
+
+    Args:
+        indptr: ``(num_items + 1,)`` row pointers, one row per item.
+        indices: for item ``i``, the distinct candidates covering it are
+            ``indices[indptr[i]:indptr[i + 1]]``; all lie in
+            ``0 .. num_candidates - 1``.
+        num_candidates: number of candidate sets.
+        weights: positive, finite weight per candidate (validated by the
+            caller); defaults to unit weights.
+
+    Returns:
+        ``(selected, covered)``: the picked candidate indices in selection
+        order, and a boolean mask over the items that the picks cover.  The
+        picks are those of :func:`greedy_set_cover_eager` on the same
+        instance: efficiency desc, then gain desc, then lowest index.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    num_items = len(indptr) - 1
+    weights = (
+        np.ones(num_candidates)
+        if weights is None
+        else np.asarray(weights, dtype=float)
+    )
+    # Exact gains: while every item is uncovered, a candidate's gain is its
+    # set size.  The candidate -> items rows find a pick's items.
+    gains = np.bincount(indices, minlength=num_candidates)
+    candidate_indptr = np.zeros(num_candidates + 1, dtype=np.int64)
+    np.cumsum(gains, out=candidate_indptr[1:])
+    edge_items = np.repeat(np.arange(num_items, dtype=np.int64), np.diff(indptr))
+    candidate_items = edge_items[np.argsort(indices, kind="stable")]
+
+    covered = np.zeros(num_items, dtype=bool)
+    selected: list[int] = []
+    while True:
+        live = np.flatnonzero(gains)
+        if live.size == 0:
+            break
+        efficiency = gains[live] / weights[live]
+        tied = live[efficiency == efficiency.max()]
+        if tied.size > 1:
+            tied = tied[gains[tied] == gains[tied].max()]
+        pick = int(tied[0])
+        items = candidate_items[candidate_indptr[pick] : candidate_indptr[pick + 1]]
+        newly = items[~covered[items]]
+        covered[newly] = True
+        # Every candidate covering a newly covered item loses one gain; the
+        # pick itself drops to zero.
+        _, losers = csr_select_rows(indptr, indices, newly)
+        gains -= np.bincount(losers, minlength=num_candidates)
+        selected.append(pick)
+    return np.asarray(selected, dtype=np.int64), covered
+
+
 def greedy_set_cover(
     num_items: int,
     coverage: Sequence[frozenset[int] | set[int]],
     weights: Sequence[float] | None = None,
 ) -> SetCoverSolution:
-    """Lazy-greedy (CELF-style) weighted set cover.
+    """Greedy weighted set cover over per-candidate sets.
+
+    Builds the CSR arrays of :func:`greedy_cover_csr` and runs it.
 
     Args:
         num_items: number of items (questions) to cover; items are
-            ``0 .. num_items - 1``.
+            ``0 .. num_items - 1``.  Items outside that range are ignored.
         coverage: for every candidate (demonstration), the set of item indices
             it covers.
-        weights: positive weight per candidate; defaults to unit weights.
+        weights: positive, finite weight per candidate; defaults to unit
+            weights.
 
     Returns:
-        The greedy solution — selection-for-selection identical to
-        :func:`greedy_set_cover_eager`, including the deterministic
-        lowest-index tie-break.  Items that appear in no candidate's coverage
-        are reported as ``uncovered_items`` rather than raising, because in
-        the ER pipeline an uncoverable question simply falls back to
-        nearest-neighbour demonstrations.
+        The greedy solution — identical to :func:`greedy_set_cover_eager`,
+        including the deterministic lowest-index tie-break.  Items that
+        appear in no candidate's coverage are reported as ``uncovered_items``
+        rather than raising, because in the ER pipeline an uncoverable
+        question simply falls back to nearest-neighbour demonstrations.
 
     Raises:
-        ValueError: if weights are non-positive or the lengths disagree.
+        ValueError: if a weight is non-finite or non-positive, or the lengths
+            disagree.
     """
-    weights, candidate_sets, coverable, uncoverable = _prepare(
-        num_items, coverage, weights
+    weights, candidate_sets, _, _ = _prepare(num_items, coverage, weights)
+    sizes = [len(candidate) for candidate in candidate_sets]
+    candidates = np.repeat(np.arange(len(candidate_sets), dtype=np.int64), sizes)
+    items = np.fromiter(
+        chain.from_iterable(candidate_sets), dtype=np.int64, count=sum(sizes)
     )
-    uncovered = set(coverable)
-    selected: list[int] = []
+    order = np.argsort(items, kind="stable")
+    indptr = np.zeros(num_items + 1, dtype=np.int64)
+    np.cumsum(np.bincount(items, minlength=num_items), out=indptr[1:])
+    selected, covered = greedy_cover_csr(
+        indptr, candidates[order], len(candidate_sets), weights
+    )
+    picks = tuple(int(index) for index in selected)
     total_weight = 0.0
-
-    # Max-heap of (-efficiency, -gain, index): popping yields the candidate
-    # that is best under (efficiency desc, gain desc, index asc) — exactly
-    # the eager scan's selection rule.  ``stamp[i]`` records how many
-    # selections had been made when candidate i's gain was last computed; a
-    # popped entry is trusted only if nothing was selected since.
-    heap: list[tuple[float, int, int]] = []
-    stamp = [0] * len(candidate_sets)
-    for index, candidate in enumerate(candidate_sets):
-        gain = len(candidate)
-        if gain:
-            heap.append((-gain / weights[index], -gain, index))
-    heapq.heapify(heap)
-
-    rounds = 0
-    while uncovered and heap:
-        _, _, index = heapq.heappop(heap)
-        if stamp[index] == rounds:
-            # Fresh value: stale entries are upper bounds (gains only shrink
-            # as ``uncovered`` shrinks), so a fresh top beats everything
-            # still in the heap — select it.
-            selected.append(index)
-            uncovered -= candidate_sets[index]
-            total_weight += float(weights[index])
-            rounds += 1
-        else:
-            gain = len(candidate_sets[index] & uncovered)
-            stamp[index] = rounds
-            if gain:
-                heapq.heappush(heap, (-gain / weights[index], -gain, index))
-
-    covered = coverable - uncovered
+    for index in picks:
+        total_weight += float(weights[index])
+    covered_items = np.flatnonzero(covered).tolist()
     return SetCoverSolution(
-        selected=tuple(selected),
-        covered_items=frozenset(covered),
-        uncovered_items=frozenset(uncoverable | uncovered),
+        selected=picks,
+        covered_items=frozenset(covered_items),
+        uncovered_items=frozenset(range(num_items)).difference(covered_items),
         total_weight=total_weight,
     )
 
@@ -161,7 +221,7 @@ def greedy_set_cover_eager(
 
     Recomputes every remaining candidate's gain each round.  Kept as the
     reference implementation :func:`greedy_set_cover` is verified against;
-    prefer the lazy version everywhere else — it returns identical solutions.
+    prefer the array version everywhere else — it returns identical solutions.
     """
     weights, candidate_sets, coverable, uncoverable = _prepare(
         num_items, coverage, weights

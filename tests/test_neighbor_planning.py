@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.batching.base import QuestionBatch
 from repro.batching.diversity_batching import DiversityQuestionBatcher
 from repro.clustering.dbscan import DBSCAN
 from repro.clustering.distance import cross_distances, pairwise_distances
@@ -281,6 +282,52 @@ class TestSparseCoveringEquivalence:
             for dense_batch, sparse_batch in zip(dense.per_batch, sparse.per_batch):
                 assert dense_batch.pool_indices == sparse_batch.pool_indices
             assert dense_selector.last_diagnostics == sparse_selector.last_diagnostics
+
+    @staticmethod
+    def assert_dense_matches_sparse(batches, question_features, pool, pool_features):
+        dense_selector = CoveringSelector()
+        sparse_selector = CoveringSelector(planner=NeighborPlanner(**SPARSE))
+        dense = dense_selector.select(batches, question_features, pool, pool_features)
+        sparse = sparse_selector.select(batches, question_features, pool, pool_features)
+        assert dense.labeled_pool_indices == sparse.labeled_pool_indices
+        assert [batch.pool_indices for batch in dense.per_batch] == [
+            batch.pool_indices for batch in sparse.per_batch
+        ]
+        assert dense_selector.last_diagnostics == sparse_selector.last_diagnostics
+        return dense_selector.last_diagnostics
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_square_cross_matrix(self, seed):
+        # n == m with every question sitting next to "its" pool demonstration:
+        # the covering edges lie on the diagonal of the square cross matrix,
+        # which a self-join graph builder would drop.
+        rng = np.random.default_rng(seed)
+        n = 40
+        question_features = rng.normal(size=(n, 3))
+        pool_features = question_features + rng.normal(scale=1e-3, size=(n, 3))
+        questions = [make_pair(i) for i in range(n)]
+        pool = [make_pair(1000 + i, MatchLabel(i % 2)) for i in range(n)]
+        batches = DiversityQuestionBatcher(batch_size=5, seed=seed).create_batches(
+            questions, question_features
+        )
+        diagnostics = self.assert_dense_matches_sparse(
+            batches, question_features, pool, pool_features
+        )
+        assert diagnostics.uncovered_questions == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flush_shaped_selection(self, seed):
+        # A serving flush: three questions against a pool of 1,200.
+        rng = np.random.default_rng(seed)
+        question_features = rng.normal(size=(3, 4))
+        pool_features = rng.normal(size=(1200, 4))
+        questions = [make_pair(i) for i in range(3)]
+        pool = [make_pair(1000 + i, MatchLabel(i % 2)) for i in range(1200)]
+        batches = [
+            QuestionBatch(batch_id=0, indices=(0, 1, 2), pairs=tuple(questions))
+        ]
+        assert default_planner().use_dense_cross(3, 1200)
+        self.assert_dense_matches_sparse(batches, question_features, pool, pool_features)
 
     def test_single_question_and_pool(self):
         questions = [make_pair(0)]

@@ -1,11 +1,15 @@
 """Tests for the greedy (weighted) set cover of Algorithm 1."""
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.selection.set_cover import (
     coverage_value,
+    greedy_cover_csr,
     greedy_set_cover,
     greedy_set_cover_eager,
 )
@@ -64,6 +68,14 @@ class TestGreedySetCover:
     def test_non_positive_weights_rejected(self):
         with pytest.raises(ValueError):
             greedy_set_cover(2, [{0}, {1}], weights=[1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("implementation", [greedy_set_cover, greedy_set_cover_eager])
+    def test_non_finite_weights_rejected(self, implementation, bad):
+        # A NaN weight used to slip past the positivity check and make the
+        # array cover diverge from its oracle (selected=(1, 0), weight nan).
+        with pytest.raises(ValueError, match="finite"):
+            implementation(2, [{0, 1}, {1}], weights=[bad, 1.0])
 
     def test_coverage_outside_universe_ignored(self):
         solution = greedy_set_cover(2, [{0, 5, 9}, {1}])
@@ -128,7 +140,38 @@ class TestDeterministicTieBreaking:
             assert solution.selected[0] == 1
 
 
-class TestLazyMatchesEager:
+@st.composite
+def cover_instances(draw):
+    """Set cover instances for the differential test against the oracle.
+
+    Candidate sets may be empty, repeat each other and name items at or
+    beyond ``num_items`` (ignored by both implementations); ``num_items`` may
+    be 0.  Integer weights make efficiencies tie exactly.
+    """
+    num_items = draw(st.integers(0, 25))
+    candidates = draw(st.lists(st.frozensets(st.integers(0, 29), max_size=8), max_size=25))
+    if candidates:
+        repeats = draw(st.lists(st.sampled_from(candidates), max_size=5))
+        candidates = draw(st.permutations(candidates + repeats))
+    weighting = draw(st.sampled_from(["default", "unit", "integer", "float"]))
+    if weighting == "default":
+        weights = None
+    elif weighting == "unit":
+        weights = [1.0] * len(candidates)
+    elif weighting == "integer":
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(candidates), max_size=len(candidates)))
+    else:
+        weights = draw(
+            st.lists(
+                st.sampled_from([0.25, 1.0, 2.0, 3.5, 7.0]),
+                min_size=len(candidates),
+                max_size=len(candidates),
+            )
+        )
+    return num_items, candidates, weights
+
+
+class TestArrayCoverMatchesEager:
     def test_known_instances(self):
         instances = [
             (4, [{0, 1}, {1, 2}, {3}], None),
@@ -136,33 +179,50 @@ class TestLazyMatchesEager:
             (3, [{0}, {1}], None),
             (0, [{0, 1}], None),
             (5, [], None),
+            (3, [set(), {0, 1}, {0, 1}, {2, 7}], [1, 2, 2, 1]),
         ]
         for num_items, coverage, weights in instances:
             assert greedy_set_cover(num_items, coverage, weights) == greedy_set_cover_eager(
                 num_items, coverage, weights
             )
 
-    @given(
-        num_items=st.integers(0, 25),
-        candidates=st.lists(
-            st.frozensets(st.integers(0, 24), max_size=8), max_size=25
-        ),
-        weight_choices=st.lists(
-            st.sampled_from([1.0, 1.0, 2.0, 3.5, 0.25]), min_size=25, max_size=25
-        ),
-        use_weights=st.booleans(),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_property_identical_solutions(
-        self, num_items, candidates, weight_choices, use_weights
-    ):
-        weights = weight_choices[: len(candidates)] if use_weights else None
-        lazy = greedy_set_cover(num_items, candidates, weights)
+    @given(instance=cover_instances())
+    @example(instance=(0, [], None))
+    @example(instance=(0, [frozenset({0, 3})], [2]))
+    @example(instance=(3, [frozenset(), frozenset({0, 1}), frozenset({0, 1}), frozenset({5})], [1, 1, 1, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_property_identical_solutions(self, instance):
+        num_items, candidates, weights = instance
+        array = greedy_set_cover(num_items, candidates, weights)
         eager = greedy_set_cover_eager(num_items, candidates, weights)
-        assert lazy.selected == eager.selected
-        assert lazy.covered_items == eager.covered_items
-        assert lazy.uncovered_items == eager.uncovered_items
-        assert lazy.total_weight == pytest.approx(eager.total_weight)
+        assert array.selected == eager.selected
+        assert array.covered_items == eager.covered_items
+        assert array.uncovered_items == eager.uncovered_items
+        assert array.total_weight == eager.total_weight
+
+    def test_large_random_instances(self):
+        # Many rounds of incremental gain updates on denser instances than
+        # the hypothesis strategy draws.
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            num_items = int(rng.integers(100, 300))
+            coverage = [
+                frozenset(rng.choice(num_items, size=int(rng.integers(0, 25)), replace=False).tolist())
+                for _ in range(int(rng.integers(50, 200)))
+            ]
+            weights = rng.integers(1, 6, size=len(coverage)).astype(float).tolist()
+            for instance_weights in (None, weights):
+                assert greedy_set_cover(num_items, coverage, instance_weights) == (
+                    greedy_set_cover_eager(num_items, coverage, instance_weights)
+                )
+
+    def test_csr_core_reports_picks_and_covered_mask(self):
+        # Items 0..3; item i lists the candidates covering it.
+        indptr = np.array([0, 2, 3, 3, 4])
+        indices = np.array([0, 1, 1, 2])
+        selected, covered = greedy_cover_csr(indptr, indices, 3)
+        assert selected.tolist() == [1, 2]
+        assert covered.tolist() == [True, True, False, True]
 
     def test_validation_matches(self):
         for implementation in (greedy_set_cover, greedy_set_cover_eager):
